@@ -28,7 +28,7 @@ from .core import (
     project_box_linf,
 )
 from .gp import GpHyper, GpModel, matern52
-from .grad_est import DirectionDist, RgeConfig, rge
+from .grad_est import DirectionDist, RgeConfig, rge_with_base
 from .losses import (
     BallDist,
     FeedbackMode,
@@ -91,7 +91,7 @@ __all__ = [
     "lp_norms",
     "matern52",
     "project_box_linf",
-    "rge",
+    "rge_with_base",
     "run_attack",
     "save_weights",
     "score_loss",

@@ -139,12 +139,15 @@ def make_loss(
     oracle: QueryOracle,
     rng: RngStream,
 ):
-    """Scalar loss over perturbations, clamping query points to [0,1]^d."""
+    """Attack loss over perturbations, clamping query points to [0,1]^d.
+
+    A float for one perturbation (d,), n values for a stack (n, d).
+    """
     x0 = spec.x0
     if loss_cfg.mode is FeedbackMode.SCORE:
         def loss(delta):
             x = np.clip(x0 + delta, 0.0, 1.0)
-            return score_loss(oracle, x, spec, loss_cfg)
+            return score_loss(oracle, x, spec)
     else:
         def loss(delta):
             x = np.clip(x0 + delta, 0.0, 1.0)

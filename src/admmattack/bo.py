@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .core import RngStream, as_vector, feasible_bounds, project_box_linf
-from .gp import GpModel
+from .gp import GpFactorizationError, GpModel
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,6 @@ class BoDeltaSolver:
         self.cfg = cfg
         self._points: list[np.ndarray] = []
         self._f_values: list[float] = []
-        self._steps_done = 0
 
     @property
     def best_f(self) -> float:
@@ -150,12 +149,12 @@ class BoDeltaSolver:
         model.set_data(np.array(self._points), y)
 
         for _ in range(cfg.max_bo_iters):
-            # Refit every step while small, then periodically: big repeated
-            # NLML fits dominate runtime once the observation set saturates.
-            if model.n <= 200 or self._steps_done % 5 == 0:
+            # A fit needs two observations; a covariance that stays non-PD
+            # keeps the current hyperparameters.
+            if model.n >= 2:
                 try:
                     model.fit_hypers(cfg.fit_steps, cfg.fit_learning_rate)
-                except Exception:
+                except GpFactorizationError:
                     pass
             l_plus = float(np.min(model.targets))
             cand, ei = self._maximize_ei(model, l_plus, rng)
@@ -165,7 +164,6 @@ class BoDeltaSolver:
             self._record(cand, f_val)
             y = self._targets(b, rho)
             model.set_data(np.array(self._points), y)
-            self._steps_done += 1
 
         y = self._targets(b, rho)
         best = int(np.argmin(y))

@@ -180,10 +180,11 @@ def _select_pairs(model, data: Dataset, n_pairs: int, untargeted: bool):
     """Deterministic (image index, target) pairs over correctly classified
     inputs; targeted mode cycles each image through the other classes."""
     k = model.num_classes
+    predicted = model.predict_label(data.inputs)
     pairs = []
     for idx in range(data.n):
         label = int(data.labels[idx])
-        if model.predict_label(data.inputs[idx]) != label:
+        if predicted[idx] != label:
             continue
         if untargeted:
             pairs.append((idx, label))
@@ -201,10 +202,8 @@ def _select_pairs(model, data: Dataset, n_pairs: int, untargeted: bool):
 
 def _find_exemplar(model, data: Dataset, target: int):
     """First training example the victim classifies as the target class."""
-    for idx in range(data.n):
-        if model.predict_label(data.inputs[idx]) == target:
-            return data.inputs[idx]
-    return None
+    hits = np.flatnonzero(model.predict_label(data.inputs) == target)
+    return data.inputs[hits[0]] if hits.size else None
 
 
 def _report_to_dict(report: RunReport, pair: int, target: int, timestamp: str) -> dict:

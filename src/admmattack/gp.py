@@ -122,14 +122,6 @@ class GpModel:
     def targets(self) -> np.ndarray:
         return self._y
 
-    def add(self, x: np.ndarray, y: float) -> None:
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        if x.shape[1] != self.dim:
-            raise ValueError("observation dimension mismatch")
-        self._X = np.vstack([self._X, x])
-        self._y = np.append(self._y, float(y))
-        self._cache = None
-
     def set_data(self, X: np.ndarray, y: np.ndarray) -> None:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)

@@ -1,7 +1,7 @@
-"""Random gradient estimation over a scalar loss callable.
+"""Random gradient estimation over a row-wise loss callable.
 
 Forward differences over Q random directions sharing one base evaluation,
-so each call costs exactly Q + 1 loss evaluations.
+so each call costs exactly Q + 1 loss evaluations, made in one loss call.
 """
 
 from __future__ import annotations
@@ -33,31 +33,24 @@ class RgeConfig:
             raise ValueError("smoothing radius nu must be positive")
 
 
-def rge(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream) -> np.ndarray:
-    """(d/(nu*Q)) * sum_j [loss(delta + nu*u_j) - loss(delta)] * u_j.
-
-    Directions u_j are i.i.d. uniform on the unit sphere (or standard
-    Gaussian). The base value loss(delta) is computed once and shared.
-    """
-    g, _ = rge_with_base(loss, delta, cfg, rng)
-    return g
-
-
 def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
-    """Like :func:`rge` but also returns the shared base loss value."""
+    """(d/(nu*Q)) * sum_j [loss(delta + nu*u_j) - loss(delta)] * u_j, and loss(delta).
+
+    ``loss`` maps an (n, d) stack of perturbations to n values. The base
+    point and the Q perturbed points go to it in one call of Q + 1 rows,
+    base first. The directions u_j come from one (Q, d) standard normal
+    draw; on the unit sphere each row is divided by its norm.
+    """
     delta = as_vector(delta)
     d = delta.shape[0]
-    base = float(loss(delta))
+    u = rng.standard_normal((cfg.q, d))
+    if cfg.direction_dist is DirectionDist.UNIT_SPHERE:
+        u /= np.array([np.linalg.norm(row) for row in u])[:, None]
+    values = np.asarray(loss(np.vstack([delta, delta + cfg.nu * u])), dtype=np.float64)
+    base = float(values[0])
     if not math.isfinite(base):
         raise ValueError("non-finite loss value at the base point")
-    acc = np.zeros(d)
-    for _ in range(cfg.q):
-        if cfg.direction_dist is DirectionDist.UNIT_SPHERE:
-            u = rng.unit_sphere(d)
-        else:
-            u = rng.standard_normal(d)
-        fv = float(loss(delta + cfg.nu * u))
-        if not math.isfinite(fv):
-            raise ValueError("non-finite loss value at a perturbed point")
-        acc += (fv - base) * u
-    return (d / (cfg.nu * cfg.q)) * acc, base
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite loss value at a perturbed point")
+    grad = np.sum((values[1:] - base)[:, None] * u, axis=0)
+    return (d / (cfg.nu * cfg.q)) * grad, base

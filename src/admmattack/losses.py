@@ -1,8 +1,8 @@
 """Black-box oracle abstraction, attack losses, and exact query accounting.
 
 Oracles expose ``query_label`` (always) and optionally ``query_scores``;
-every call increments a monotone query ledger by exactly one. The losses
-here never query more than their documented count.
+each takes one point or a stack of n points and adds n to a monotone query
+ledger. The losses here never query more than their documented count.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttackMode, ProblemSpec, RngStream, as_vector
+from .core import AttackMode, ProblemSpec, RngStream
 
 # Probabilities are clipped here before taking logs so hard one-hot
 # victims cannot produce infinite losses.
@@ -35,7 +35,6 @@ class LossConfig:
     mode: FeedbackMode = FeedbackMode.SCORE
     smoothing_mu: float = 1.0
     smoothing_samples: int = 10
-    prob_floor: float = PROB_FLOOR
     smoothing_dist: BallDist = BallDist.UNIFORM_BALL
 
     def __post_init__(self):
@@ -50,33 +49,56 @@ class OracleCapabilityError(RuntimeError):
     """Raised when a score query hits a label-only oracle."""
 
 
-class QueryOracle:
-    """Base query oracle with a ledger. Subclasses implement _scores/_label.
+def _query_points(x) -> np.ndarray:
+    """One point (d,) or a stack (n, d) with n >= 1, as contiguous float64."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    if arr.ndim not in (1, 2) or arr.shape[0] == 0:
+        raise ValueError(f"a query takes one point (d,) or a stack (n, d), got shape {arr.shape}")
+    return arr
 
-    ``query_scores`` is an optional capability; label queries are always
-    available. The ledger counts every call, including success probes.
+
+def _rowwise(fn, x: np.ndarray) -> np.ndarray:
+    """Apply a per-point function to one point, or to each row of a stack."""
+    return np.asarray(fn(x) if x.ndim == 1 else [fn(row) for row in x])
+
+
+def _per_point(values: np.ndarray):
+    """A Python scalar for one point, the (n,) array for a stack."""
+    return values.item() if values.ndim == 0 else values
+
+
+class QueryOracle:
+    """Base query oracle with a ledger.
+
+    Both queries take one point (d,) or a stack (n, d) and charge one query
+    per row once the victim has answered; a call that raises charges
+    nothing. Subclasses implement ``_predict`` (full class scores), or only
+    ``_label`` for a label-only oracle.
     """
 
     def __init__(self):
         self.queries_used = 0
 
-    @property
-    def has_scores(self) -> bool:
-        return True
-
     def query_scores(self, x: np.ndarray) -> np.ndarray:
-        self.queries_used += 1
-        return self._scores(as_vector(x))
+        return self._charged(self._scores, x)
 
-    def query_label(self, x: np.ndarray) -> int:
-        self.queries_used += 1
-        return self._label(as_vector(x))
+    def query_label(self, x: np.ndarray):
+        return self._charged(self._label, x)
 
-    def _scores(self, x: np.ndarray) -> np.ndarray:
+    def _charged(self, answer, x):
+        x = _query_points(x)
+        out = answer(x)
+        self.queries_used += x.shape[0] if x.ndim == 2 else 1
+        return out
+
+    def _predict(self, x: np.ndarray) -> np.ndarray:
         raise OracleCapabilityError("oracle does not expose class scores")
 
-    def _label(self, x: np.ndarray) -> int:
-        raise NotImplementedError
+    def _scores(self, x: np.ndarray) -> np.ndarray:
+        return self._predict(x)
+
+    def _label(self, x: np.ndarray):
+        return hard_label(self._predict(x))
 
 
 class ModelOracle(QueryOracle):
@@ -87,31 +109,25 @@ class ModelOracle(QueryOracle):
         self.model = model
         self._scores_available = scores_available
 
-    @property
-    def has_scores(self) -> bool:
-        return self._scores_available
+    def _predict(self, x):
+        return self.model.predict_scores(x)
 
     def _scores(self, x):
         if not self._scores_available:
             raise OracleCapabilityError("oracle configured as label-only")
-        return self.model.predict_scores(x)
-
-    def _label(self, x):
-        return hard_label(self.model.predict_scores(x))
+        return self._predict(x)
 
 
 class FunctionOracle(QueryOracle):
-    """Adapts a plain scores function; handy for synthetic victims."""
+    """Adapts a per-point scores function, applied row by row; handy for
+    synthetic victims."""
 
     def __init__(self, scores_fn):
         super().__init__()
         self.scores_fn = scores_fn
 
-    def _scores(self, x):
-        return np.asarray(self.scores_fn(x), dtype=np.float64)
-
-    def _label(self, x):
-        return hard_label(np.asarray(self.scores_fn(x), dtype=np.float64))
+    def _predict(self, x):
+        return _rowwise(self.scores_fn, x).astype(np.float64)
 
 
 class ProcessOracle(QueryOracle):
@@ -119,6 +135,7 @@ class ProcessOracle(QueryOracle):
 
     Request: d comma-separated decimals on one line. Response: K
     comma-separated decimals (scores mode) or one integer (label mode).
+    A stack of points takes one round trip per row.
     """
 
     def __init__(self, argv, mode: str = "scores"):
@@ -134,10 +151,6 @@ class ProcessOracle(QueryOracle):
             bufsize=1,
         )
 
-    @property
-    def has_scores(self) -> bool:
-        return self.mode == "scores"
-
     def _roundtrip(self, x: np.ndarray) -> str:
         line = ",".join(repr(float(v)) for v in x)
         self.proc.stdin.write(line + "\n")
@@ -147,16 +160,15 @@ class ProcessOracle(QueryOracle):
             raise RuntimeError("oracle process closed its output stream")
         return reply.strip()
 
-    def _scores(self, x):
+    def _predict(self, x):
         if self.mode != "scores":
             raise OracleCapabilityError("process oracle is running in label mode")
-        return np.array([float(t) for t in self._roundtrip(x).split(",")])
+        return _rowwise(lambda row: [float(t) for t in self._roundtrip(row).split(",")], x)
 
     def _label(self, x):
-        reply = self._roundtrip(x)
         if self.mode == "scores":
-            return hard_label(np.array([float(t) for t in reply.split(",")]))
-        return int(reply)
+            return super()._label(x)
+        return _per_point(_rowwise(lambda row: int(self._roundtrip(row)), x))
 
     def close(self):
         if self.proc.stdin:
@@ -183,39 +195,38 @@ def serve_oracle(model, mode: str = "scores", stdin=None, stdout=None):
         stdout.flush()
 
 
-def hard_label(scores: np.ndarray) -> int:
-    """Argmax with lowest class index winning exact ties."""
-    return int(np.argmax(scores))
+def hard_label(scores: np.ndarray):
+    """Argmax with lowest class index winning exact ties; one label per row."""
+    return _per_point(np.argmax(scores, axis=-1))
 
 
-def score_loss(
-    oracle: QueryOracle,
-    x: np.ndarray,
-    spec: ProblemSpec,
-    cfg: LossConfig = LossConfig(),
-) -> float:
-    """C&W-style log-score loss; exactly one score query.
+def _goal_met(labels, spec: ProblemSpec):
+    """Whether each label meets the attack goal (targeted: hits the target)."""
+    return (labels == spec.target) == (spec.attack_mode is AttackMode.TARGETED)
+
+
+def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec):
+    """C&W-style log-score loss; one score query per point.
 
     Targeted: max(max_{j != t} log P_j - log P_t, -kappa). Untargeted swaps
-    roles with t0 = spec.target holding the original label.
+    roles with t0 = spec.target holding the original label. A float for one
+    point (d,), an (n,) array for a stack (n, d).
     """
-    p = np.clip(oracle.query_scores(x), cfg.prob_floor, None)
-    logp = np.log(p)
+    logp = np.log(np.clip(oracle.query_scores(x), PROB_FLOOR, None))
     t = spec.target
-    others = np.delete(logp, t)
+    others = np.max(np.delete(logp, t, axis=-1), axis=-1)
     if spec.attack_mode is AttackMode.TARGETED:
-        val = float(np.max(others) - logp[t])
+        val = others - logp[..., t]
     else:
-        val = float(logp[t] - np.max(others))
-    return max(val, -spec.kappa)
+        val = logp[..., t] - others
+    # the semantics of Python's max(val, -kappa), signed zeros included
+    floor = -spec.kappa
+    return _per_point(np.where(floor > val, floor, val))
 
 
-def decision_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> float:
+def decision_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec):
     """Hard-label loss in {-1, +1}; -1 means the attack currently succeeds."""
-    label = oracle.query_label(x)
-    if spec.attack_mode is AttackMode.TARGETED:
-        return -1.0 if label == spec.target else 1.0
-    return 1.0 if label == spec.target else -1.0
+    return _per_point(np.where(_goal_met(oracle.query_label(x), spec), -1.0, 1.0))
 
 
 def _smoothing_direction(cfg: LossConfig, rng: RngStream, d: int) -> np.ndarray:
@@ -230,28 +241,29 @@ def smoothed_decision_loss(
     spec: ProblemSpec,
     cfg: LossConfig,
     rng: RngStream,
-) -> float:
-    """Monte Carlo smoothing of the decision loss; exactly N label queries.
+):
+    """Monte Carlo smoothing of the decision loss; N label queries per point.
 
-    Perturbed query points are clamped to [0,1]^d before querying so real
-    oracles never see out-of-range pixels.
+    The N samples of every point go to the oracle in one call. Directions
+    are drawn one sample at a time, point by point. Perturbed query points
+    are clamped to [0,1]^d before querying so real oracles never see
+    out-of-range pixels. A float for one point, an (n,) array for a stack.
     """
     if cfg.smoothing_samples < 1:
         raise ValueError("need at least one smoothing sample")
     if cfg.smoothing_mu <= 0:
         raise ValueError("smoothing mu must be positive")
-    x = as_vector(x)
-    total = 0.0
-    for _ in range(cfg.smoothing_samples):
-        u = _smoothing_direction(cfg, rng, x.shape[0])
-        xq = np.clip(x + cfg.smoothing_mu * u, 0.0, 1.0)
-        total += decision_loss(oracle, xq, spec)
-    return total / cfg.smoothing_samples
+    x = _query_points(x)
+    points = np.atleast_2d(x)
+    n, d = points.shape
+    samples = cfg.smoothing_samples
+    u = np.array([_smoothing_direction(cfg, rng, d) for _ in range(n * samples)])
+    xq = np.clip(np.repeat(points, samples, axis=0) + cfg.smoothing_mu * u, 0.0, 1.0)
+    losses = decision_loss(oracle, xq, spec).reshape(n, samples)
+    means = np.sum(losses, axis=1) / samples
+    return float(means[0]) if x.ndim == 1 else means
 
 
 def is_success(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> bool:
     """One label query; true iff the attack goal is met at x."""
-    label = oracle.query_label(x)
-    if spec.attack_mode is AttackMode.TARGETED:
-        return label == spec.target
-    return label != spec.target
+    return _goal_met(oracle.query_label(x), spec)

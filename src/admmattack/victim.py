@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import RngStream
+from .losses import hard_label
 
 MAGIC = b"SPAV1"
 FORMAT_VERSION = 1
@@ -31,8 +32,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def _affine(w: np.ndarray, x, b: np.ndarray) -> np.ndarray:
+    """w x + b for one point (d,) or each row of a stack (n, d); a row gets
+    bitwise its single-point result, which ``X @ w.T`` does not give."""
+    return np.matmul(w, np.asarray(x, dtype=np.float64)[..., None])[..., 0] + b
+
+
+class _Classifier:
+    """Scores and labels for one point (d,) or a stack of points (n, d)."""
+
+    def predict_scores(self, x: np.ndarray) -> np.ndarray:
+        if np.asarray(x).shape[-1] != self.dim:
+            raise ValueError("input dimension mismatch")
+        return softmax(self.logits(x))
+
+    def predict_label(self, x: np.ndarray):
+        return hard_label(self.predict_scores(x))
+
+
 @dataclass
-class SoftmaxModel:
+class SoftmaxModel(_Classifier):
     weights: np.ndarray  # (K, d)
     biases: np.ndarray   # (K,)
 
@@ -47,15 +66,7 @@ class SoftmaxModel:
         return self.weights.shape[0]
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ np.asarray(x, dtype=np.float64) + self.biases
-
-    def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        if np.asarray(x).shape[-1] != self.dim:
-            raise ValueError("input dimension mismatch")
-        return softmax(self.logits(x))
-
-    def predict_label(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.predict_scores(x)))
+        return _affine(self.weights, x, self.biases)
 
     def arrays(self):
         return [self.weights, self.biases]
@@ -69,7 +80,7 @@ class SoftmaxModel:
 
 
 @dataclass
-class MlpModel:
+class MlpModel(_Classifier):
     w1: np.ndarray  # (h, d)
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (K, h)
@@ -90,16 +101,8 @@ class MlpModel:
         return self.w1.shape[0]
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        h = np.maximum(self.w1 @ np.asarray(x, dtype=np.float64) + self.b1, 0.0)
-        return self.w2 @ h + self.b2
-
-    def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        if np.asarray(x).shape[-1] != self.dim:
-            raise ValueError("input dimension mismatch")
-        return softmax(self.logits(x))
-
-    def predict_label(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.predict_scores(x)))
+        h = np.maximum(_affine(self.w1, x, self.b1), 0.0)
+        return _affine(self.w2, h, self.b2)
 
     def arrays(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -210,8 +213,7 @@ def _grads_mlp(model: MlpModel, X: np.ndarray, Y: np.ndarray):
 
 
 def cross_entropy(model, X: np.ndarray, Y: np.ndarray) -> float:
-    logits = np.array([model.logits(x) for x in X])
-    p = softmax(logits)
+    p = softmax(model.logits(X))
     return float(-np.mean(np.log(np.clip(p[np.arange(len(Y)), Y], 1e-300, None))))
 
 
@@ -232,8 +234,7 @@ def train(model, data: Dataset, epochs: int, lr: float, rng: RngStream, batch_si
 
 
 def accuracy(model, data: Dataset) -> float:
-    correct = sum(model.predict_label(x) == y for x, y in zip(data.inputs, data.labels))
-    return correct / data.n
+    return int(np.count_nonzero(model.predict_label(data.inputs) == data.labels)) / data.n
 
 
 # -- serialization -----------------------------------------------------

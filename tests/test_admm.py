@@ -36,7 +36,7 @@ class TestDeltaZoStep:
         state = AttackState(delta=np.array([0.2, -0.1]), z=np.array([0.2, -0.1]),
                             u=np.zeros(2), k=1)
         cfg = AdmmConfig(rho=1.0, alpha=1.0)
-        loss = lambda v: 42.0  # constant -> zero RGE
+        loss = lambda V: np.full(len(V), 42.0)  # constant -> zero RGE
         out, base = delta_zo_step(state, cfg, RgeConfig(q=5, nu=0.1), loss, RngStream(0))
         np.testing.assert_allclose(out, state.delta, atol=1e-15)
         assert base == 42.0
@@ -82,7 +82,7 @@ class TestAdmmIterate:
         delta = np.array([0.1, -0.2, 0.3])
         state = AttackState(delta=delta, z=np.zeros(3), u=np.zeros(3))
         cfg = AdmmConfig(rho=1.0)
-        loss = lambda v: 0.0
+        loss = lambda V: np.zeros(len(V))
         new_state, _ = admm_iterate(state, spec, cfg, oracle, RngStream(0), loss,
                                     rge_cfg=RgeConfig(q=2, nu=0.1))
         np.testing.assert_allclose(new_state.z, delta, atol=1e-15)
@@ -97,7 +97,7 @@ class TestAdmmIterate:
         state = AttackState(delta=delta, z=delta.copy(), u=np.zeros(2))
         cfg = AdmmConfig(rho=2.0)
         new_state, _ = admm_iterate(state, spec, cfg, oracle, RngStream(1),
-                                    lambda v: 1.0, rge_cfg=RgeConfig(q=2, nu=0.1))
+                                    lambda V: np.ones(len(V)), rge_cfg=RgeConfig(q=2, nu=0.1))
         np.testing.assert_allclose(new_state.u, np.zeros(2), atol=1e-14)
 
     def test_dual_update_algebra(self):
@@ -108,7 +108,7 @@ class TestAdmmIterate:
         state = AttackState(delta=rng.standard_normal(4) * 0.1,
                             z=np.zeros(4), u=rng.standard_normal(4) * 0.1)
         cfg = AdmmConfig(rho=3.0)
-        loss = lambda v: float(np.sum(v ** 2))
+        loss = lambda V: np.sum(V ** 2, axis=1)
         u_before = state.u.copy()
         new_state, _ = admm_iterate(state, spec, cfg, oracle, rng, loss,
                                     rge_cfg=RgeConfig(q=3, nu=0.1))
@@ -123,7 +123,7 @@ class TestAdmmIterate:
         rng = RngStream(3)
         state = AttackState(delta=np.zeros(3), z=np.zeros(3), u=np.zeros(3))
         cfg = AdmmConfig(rho=1.0)
-        loss = lambda v: float(np.sin(np.sum(v)))
+        loss = lambda V: np.sin(np.sum(V, axis=1))
         for _ in range(30):
             state, _ = admm_iterate(state, spec, cfg, oracle, rng, loss,
                                     rge_cfg=RgeConfig(q=3, nu=0.2))

@@ -181,6 +181,24 @@ class TestBoDeltaSolver:
         assert len(solver._points) == 10
         assert len(solver._f_values) == 10
 
+    def test_single_init_sample_skips_the_first_fit(self):
+        # one observation cannot be fitted; the step must still run
+        x0 = np.full(2, 0.5)
+        solver = BoDeltaSolver(x0, 1.0, BoConfig(init_samples=1, max_bo_iters=3))
+        f_loss = lambda delta: float(np.sum((delta - 0.2) ** 2))
+        out = solver.step(b=np.zeros(2), rho=1.0, f_loss=f_loss, rng=RngStream(30))
+        assert box_feasible(x0, out, 1.0)
+        assert len(solver._points) == 1 + 3
+
+    def test_unexpected_fit_error_propagates(self, monkeypatch):
+        def broken_fit(self, steps, learning_rate):
+            raise RuntimeError("broken fit")
+
+        monkeypatch.setattr(GpModel, "fit_hypers", broken_fit)
+        solver = BoDeltaSolver(np.full(2, 0.5), 1.0, BoConfig(init_samples=3, max_bo_iters=2))
+        with pytest.raises(RuntimeError, match="broken fit"):
+            solver.step(b=np.zeros(2), rho=1.0, f_loss=lambda delta: 0.0, rng=RngStream(31))
+
     def test_best_f_tracks_minimum_raw_value(self):
         solver = BoDeltaSolver(np.array([0.5]), 1.0, BoConfig())
         assert math.isnan(solver.best_f)

@@ -2,34 +2,36 @@ import numpy as np
 import pytest
 
 from admmattack.core import RngStream
-from admmattack.grad_est import DirectionDist, RgeConfig, rge, rge_with_base
+from admmattack.grad_est import DirectionDist, RgeConfig, rge_with_base
 
 
 class CountingLoss:
+    """Row-wise loss that counts the rows (loss evaluations) it is given."""
+
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
 
-    def __call__(self, v):
-        self.calls += 1
-        return self.fn(v)
+    def __call__(self, V):
+        self.calls += len(V)
+        return self.fn(V)
 
 
 def test_constant_loss_gives_exact_zero():
-    loss = CountingLoss(lambda v: 3.5)
-    g = rge(loss, np.zeros(5), RgeConfig(q=10, nu=0.1), RngStream(0))
+    loss = CountingLoss(lambda V: np.full(len(V), 3.5))
+    g, _ = rge_with_base(loss, np.zeros(5), RgeConfig(q=10, nu=0.1), RngStream(0))
     np.testing.assert_array_equal(g, np.zeros(5))
 
 
 def test_query_count_is_q_plus_one():
     for q in (1, 7, 20):
-        loss = CountingLoss(lambda v: float(np.sum(v)))
-        rge(loss, np.zeros(4), RgeConfig(q=q, nu=0.1), RngStream(1))
+        loss = CountingLoss(lambda V: np.sum(V, axis=1))
+        rge_with_base(loss, np.zeros(4), RgeConfig(q=q, nu=0.1), RngStream(1))
         assert loss.calls == q + 1
 
 
 def test_returns_base_value():
-    loss = CountingLoss(lambda v: float(np.sum(v ** 2)))
+    loss = CountingLoss(lambda V: np.sum(V ** 2, axis=1))
     delta = np.full(3, 2.0)
     _, base = rge_with_base(loss, delta, RgeConfig(q=5, nu=0.1), RngStream(2))
     assert base == pytest.approx(12.0)
@@ -39,10 +41,10 @@ def test_unbiased_on_linear_loss():
     # E[u u^T] = I/d on the sphere makes the estimator unbiased for linear f
     d, q, n_calls = 10, 20, 2000
     c = np.arange(1.0, d + 1.0)
-    loss = lambda v: float(c @ v)
+    loss = lambda V: V @ c
     rng = RngStream(3)
     cfg = RgeConfig(q=q, nu=0.5)
-    ests = np.array([rge(loss, np.zeros(d), cfg, rng) for _ in range(n_calls)])
+    ests = np.array([rge_with_base(loss, np.zeros(d), cfg, rng)[0] for _ in range(n_calls)])
     mean = ests.mean(axis=0)
     stderr = ests.std(axis=0, ddof=1) / np.sqrt(n_calls)
     assert np.all(np.abs(mean - c) <= 3.5 * stderr)
@@ -53,13 +55,14 @@ def test_unbiased_on_linear_loss():
 def test_bias_shrinks_with_nu_on_quadratic():
     # analytic gradient of ||v||^2 at 0 is 0; bias is O(nu)
     d = 6
-    loss = lambda v: float(np.sum(v ** 2))
+    loss = lambda V: np.sum(V ** 2, axis=1)
     rng = RngStream(4)
     norms = []
     for nu in (0.5, 0.05, 0.005):
         cfg = RgeConfig(q=20, nu=nu)
         mean = np.mean(
-            [rge(loss, np.zeros(d), cfg, rng.child(int(nu * 1000), i)) for i in range(500)],
+            [rge_with_base(loss, np.zeros(d), cfg, rng.child(int(nu * 1000), i))[0]
+             for i in range(500)],
             axis=0,
         )
         norms.append(np.linalg.norm(mean))
@@ -67,17 +70,60 @@ def test_bias_shrinks_with_nu_on_quadratic():
 
 
 def test_gaussian_directions_supported():
-    loss = lambda v: float(np.sum(v))
+    loss = lambda V: np.sum(V, axis=1)
     cfg = RgeConfig(q=50, nu=0.1, direction_dist=DirectionDist.GAUSSIAN)
-    g = rge(loss, np.zeros(3), cfg, RngStream(5))
+    g, _ = rge_with_base(loss, np.zeros(3), cfg, RngStream(5))
     assert g.shape == (3,)
     assert np.all(np.isfinite(g))
 
 
 def test_non_finite_loss_raises():
-    loss = lambda v: float("nan")
+    loss = lambda V: np.full(len(V), np.nan)
     with pytest.raises(ValueError):
-        rge(loss, np.zeros(2), RgeConfig(q=2, nu=0.1), RngStream(6))
+        rge_with_base(loss, np.zeros(2), RgeConfig(q=2, nu=0.1), RngStream(6))
+
+
+def reference_rge(loss, delta, cfg, rng):
+    """One direction and one loss evaluation at a time, accumulated in order."""
+    d = delta.shape[0]
+    base = float(loss(delta[None, :])[0])
+    acc = np.zeros(d)
+    for _ in range(cfg.q):
+        if cfg.direction_dist is DirectionDist.UNIT_SPHERE:
+            u = rng.unit_sphere(d)
+        else:
+            u = rng.standard_normal(d)
+        fv = float(loss((delta + cfg.nu * u)[None, :])[0])
+        acc += (fv - base) * u
+    return (d / (cfg.nu * cfg.q)) * acc, base
+
+
+@pytest.mark.parametrize("dist", list(DirectionDist))
+def test_batched_estimate_equals_reference_loop_bitwise(dist):
+    rng = RngStream(7)
+    for trial in range(20):
+        d = int(rng.integers(1, 70))
+        cfg = RgeConfig(q=int(rng.integers(1, 30)), nu=float(rng.uniform(0.01, 1.0)),
+                        direction_dist=dist)
+        delta = rng.standard_normal(d)
+        w = rng.standard_normal(d)
+        # row-wise exact: a row's value does not depend on the other rows
+        loss = lambda V: np.log1p(np.exp(np.sum(V * w, axis=1))) - 0.5
+        g, base = rge_with_base(loss, delta, cfg, RngStream(100).child(trial))
+        g_ref, base_ref = reference_rge(loss, delta, cfg, RngStream(100).child(trial))
+        assert g.tobytes() == g_ref.tobytes()
+        assert base == base_ref
+
+
+def test_base_and_directions_share_one_loss_call():
+    calls = []
+
+    def loss(V):
+        calls.append(V.shape)
+        return np.sum(V, axis=1)
+
+    rge_with_base(loss, np.zeros(4), RgeConfig(q=9, nu=0.1), RngStream(8))
+    assert calls == [(10, 4)]
 
 
 def test_config_validation():
