@@ -27,7 +27,7 @@ from .core import (
     lp_norms,
     project_box_linf,
 )
-from .gp import GpHyper, GpModel, matern52
+from .gp import GpHyper, GpModel
 from .grad_est import DirectionDist, RgeConfig, rge_with_base
 from .losses import (
     BallDist,
@@ -89,7 +89,6 @@ __all__ = [
     "is_success",
     "load_weights",
     "lp_norms",
-    "matern52",
     "project_box_linf",
     "rge_with_base",
     "run_attack",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import RngStream, as_vector, feasible_bounds, project_box_linf
+from .core import RngStream, as_vector, feasible_bounds
 from .gp import GpFactorizationError, GpModel
 
 
@@ -61,20 +61,26 @@ def expected_improvement(mu: float, sigma: float, l_plus: float) -> float:
 
 
 def ei_gradient(model: GpModel, x: np.ndarray, l_plus: float):
-    """Analytic EI gradient at x; returns (gradient, degenerate flag).
+    """Analytic EI gradient; returns (gradient, degenerate flag).
 
+    At one point (d,) the flag is a bool; at a stack (R, d) the gradient is
+    (R, d) and the flags an (R,) bool array, row for row the same.
     grad EI = -Phi(z) grad mu + phi(z) grad sigma with z = (l_plus - mu)/sigma.
     Degenerate (sigma = 0) points get a zero gradient and flag True.
     """
-    x = as_vector(x)
+    x = np.asarray(x, dtype=np.float64)
     mu, var, dmu, dvar = model.posterior_with_grad(x)
-    if var <= 0.0:
-        return np.zeros_like(x), True
-    sigma = math.sqrt(var)
-    dsigma = dvar / (2.0 * sigma)
+    mu, var = np.atleast_1d(mu, var)
+    dmu, dvar = np.atleast_2d(dmu, dvar)
+    degenerate = var <= 0.0
+    sigma = np.sqrt(np.where(degenerate, 1.0, var))
+    dsigma = dvar / (2.0 * sigma)[:, None]
     z = (l_plus - mu) / sigma
-    grad = -_norm_cdf(z) * dmu + _norm_pdf(z) * dsigma
-    return grad, False
+    grad = -_norm_cdf(z)[:, None] * dmu + _norm_pdf(z)[:, None] * dsigma
+    grad[degenerate] = 0.0
+    if x.ndim == 1:
+        return grad[0], bool(degenerate[0])
+    return grad, degenerate
 
 
 def _sample_feasible(x0: np.ndarray, epsilon: float, rng: RngStream) -> np.ndarray:
@@ -113,23 +119,30 @@ class BoDeltaSolver:
         return np.array(self._f_values) + quad
 
     def _maximize_ei(self, model: GpModel, l_plus: float, rng: RngStream):
-        """Projected gradient ascent on EI from several feasible starts."""
+        """Projected gradient ascent on EI from several feasible starts.
+
+        All starts step together, one batched EI gradient per step; a start
+        stops where its posterior variance is degenerate. The first start
+        with the strictly largest final EI wins.
+        """
         cfg = self.cfg
-        best_x, best_ei = None, -1.0
+        lo, hi = feasible_bounds(self.x0, self.epsilon)
         starts = [np.array(self._points[int(np.argmin(model.targets))])]
         while len(starts) < cfg.ei_restarts:
             starts.append(_sample_feasible(self.x0, self.epsilon, rng))
-        for x in starts:
-            x = project_box_linf(self.x0, x, self.epsilon)
-            for _ in range(cfg.ei_steps):
-                g, degenerate = ei_gradient(model, x, l_plus)
-                if degenerate:
-                    break
-                x = project_box_linf(self.x0, x + cfg.ei_learning_rate * g, self.epsilon)
-            mu, var = model.posterior(x)
+        x = np.clip(np.array(starts), lo, hi)
+        active = np.arange(len(x))
+        for _ in range(cfg.ei_steps):
+            g, degenerate = ei_gradient(model, x[active], l_plus)
+            active, g = active[~degenerate], g[~degenerate]
+            if active.size == 0:
+                break
+            x[active] = np.clip(x[active] + cfg.ei_learning_rate * g, lo, hi)
+        best_x, best_ei = None, -1.0
+        for xr, mu, var in zip(x, *model.posterior(x)):
             ei = expected_improvement(mu, math.sqrt(var), l_plus)
             if ei > best_ei:
-                best_ei, best_x = ei, x
+                best_ei, best_x = ei, xr
         return best_x, best_ei
 
     def step(self, b: np.ndarray, rho: float, f_loss, rng: RngStream) -> np.ndarray:

@@ -38,6 +38,7 @@ from .victim import (
 EXIT_OK = 0
 EXIT_NO_SUCCESS = 1
 EXIT_USAGE = 2
+EXIT_RUNTIME = 3
 
 PRESETS = {
     "mnist-like": {
@@ -94,6 +95,10 @@ CSV_HEADER = [
 
 class UsageError(Exception):
     pass
+
+
+class AttackFault(Exception):
+    """A fault raised while a pair was attacked, as opposed to bad input."""
 
 
 def _parse_config_file(path: str) -> dict:
@@ -314,6 +319,8 @@ def cmd_attack(args) -> int:
             )
         except InfeasibleInitializer as exc:
             raise UsageError(str(exc))
+        except (ValueError, RuntimeError) as exc:
+            raise AttackFault(f"pair {pair_idx}: {type(exc).__name__}: {exc}") from exc
 
         doc = _report_to_dict(report, pair_idx, target, timestamp)
         (out_dir / f"pair_{pair_idx:04d}.json").write_text(
@@ -478,6 +485,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except AttackFault as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (UsageError, WeightFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,10 @@
 """Gaussian-process regression with an ARD Matern 5/2 kernel.
 
-Exact posterior via Cholesky with jitter escalation, and hyperparameter
-fitting by gradient descent on the negative log marginal likelihood in
+Exact posterior via the Cholesky factor L of the covariance, with jitter
+escalation, as in Rasmussen & Williams, GPML Algorithm 2.1; L^-1 is formed
+once per factorization, so each solve against L is a matrix product. The
+posterior takes one query point or a stack of them. Hyperparameters are
+fitted by gradient descent on the negative log marginal likelihood in
 log-space (the printed NLML drops the constant (n/2) log 2pi term, which
 does not affect optimization). Prior mean is fixed at zero.
 
@@ -13,7 +16,7 @@ d separate lengthscales are not identifiable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,46 +49,36 @@ class GpHyper:
             raise ValueError("noise variance must be nonnegative")
 
 
-def _scaled_r(x: np.ndarray, y: np.ndarray, hyper: GpHyper) -> float:
-    diff = (np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
-    ls = hyper.lengthscales
-    if ls.shape[0] == 1:
-        scaled = diff / ls[0]
-    else:
-        scaled = diff / ls
-    return float(np.sqrt(np.sum(scaled * scaled)))
+def _matern52(D: np.ndarray, hyper: GpHyper):
+    """Kernel values and (dk/dr)/r from unscaled squared distances D
+    (the output of _sq_dists).
+
+    k = theta0^2 exp(-sqrt5 r) (1 + sqrt5 r + (5/3) r^2), and
+    (dk/dr)/r = -(5/3) theta0^2 (1 + sqrt5 r) exp(-sqrt5 r), which has no
+    singularity at r = 0.
+    """
+    r2 = np.sum(D * hyper.lengthscales ** -2.0, axis=-1)
+    r = np.sqrt(r2)
+    e = np.exp(-SQRT5 * r)
+    t2 = hyper.theta0 ** 2
+    return t2 * e * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2), -(5.0 / 3.0) * t2 * (1.0 + SQRT5 * r) * e
 
 
-def matern52(x: np.ndarray, y: np.ndarray, hyper: GpHyper) -> float:
-    """theta0^2 * exp(-sqrt5 r) * (1 + sqrt5 r + (5/3) r^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("kernel arguments must have equal length")
-    r = _scaled_r(x, y, hyper)
-    return hyper.theta0 ** 2 * math.exp(-SQRT5 * r) * (1.0 + SQRT5 * r + (5.0 / 3.0) * r * r)
+def _sq_dists(X: np.ndarray, Y: np.ndarray, n_ls: int) -> np.ndarray:
+    """Unscaled squared distances between the rows of X and of Y.
 
-
-def _pairwise_r2(X: np.ndarray, Y: np.ndarray, hyper: GpHyper) -> np.ndarray:
-    """Squared scaled distances between rows of X and rows of Y."""
-    ls = hyper.lengthscales
-    if ls.shape[0] == 1:
-        Xs = X / ls[0]
-        Ys = Y / ls[0]
-    else:
-        Xs = X / ls
-        Ys = Y / ls
-    d2 = (
-        np.sum(Xs * Xs, axis=1)[:, None]
-        + np.sum(Ys * Ys, axis=1)[None, :]
-        - 2.0 * Xs @ Ys.T
-    )
-    return np.maximum(d2, 0.0)
+    (nx, ny, d) per dimension when there are n_ls > 1 lengthscales (ARD);
+    summed over dimensions to (nx, ny, 1) for one shared lengthscale, via
+    |x|^2 + |y|^2 - 2 x.y clipped at zero, which needs no (nx, ny, d) array.
+    """
+    if n_ls > 1:
+        return (X[:, None, :] - Y[None, :, :]) ** 2
+    d2 = np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :] - 2.0 * (X @ Y.T)
+    return np.maximum(d2, 0.0)[:, :, None]
 
 
 def _kernel_matrix(X: np.ndarray, Y: np.ndarray, hyper: GpHyper) -> np.ndarray:
-    r = np.sqrt(_pairwise_r2(X, Y, hyper))
-    return hyper.theta0 ** 2 * np.exp(-SQRT5 * r) * (1.0 + SQRT5 * r + (5.0 / 3.0) * r * r)
+    return _matern52(_sq_dists(X, Y, hyper.lengthscales.shape[0]), hyper)[0]
 
 
 class GpFactorizationError(RuntimeError):
@@ -106,7 +99,8 @@ class GpModel:
         self.hyper = hyper
         self._X = np.zeros((0, dim))
         self._y = np.zeros(0)
-        self._cache = None  # (L, alpha) with S = L L^T, alpha = S^-1 y
+        self._D = None  # _sq_dists of the observations; no hyper enters it
+        self._cache = None  # (L, L^-1, alpha) with S = L L^T, alpha = S^-1 y
 
     # -- observations -------------------------------------------------
 
@@ -129,6 +123,7 @@ class GpModel:
             raise ValueError("bad observation shapes")
         self._X = X.copy()
         self._y = y.copy()
+        self._D = None
         self._cache = None
 
     def set_hyper(self, hyper: GpHyper) -> None:
@@ -137,9 +132,15 @@ class GpModel:
 
     # -- factorization -------------------------------------------------
 
+    def _obs_sq_dists(self, h: GpHyper) -> np.ndarray:
+        n_ls = h.lengthscales.shape[0]
+        if self._D is None or self._D.shape[2] != n_ls:
+            self._D = _sq_dists(self._X, self._X, n_ls)
+        return self._D
+
     def _S(self, hyper: GpHyper | None = None) -> np.ndarray:
         h = hyper or self.hyper
-        K = _kernel_matrix(self._X, self._X, h)
+        K = _matern52(self._obs_sq_dists(h), h)[0]
         return K + h.noise_var * np.eye(self.n)
 
     @staticmethod
@@ -155,63 +156,84 @@ class GpModel:
                         "covariance not positive definite after jitter escalation"
                     )
 
+    def _factor_for(self, hyper: GpHyper):
+        """(L, L^-1, alpha = S^-1 y) for the observations under ``hyper``.
+
+        L^-1 is formed once per factor, so every later solve against L or
+        L^T is a matrix product.
+        """
+        L = self._chol_with_jitter(self._S(hyper))
+        L_inv = np.linalg.inv(L)
+        return L, L_inv, L_inv.T @ (L_inv @ self._y)
+
     def _factor(self):
         if self._cache is None:
-            L = self._chol_with_jitter(self._S())
-            alpha = np.linalg.solve(L.T, np.linalg.solve(L, self._y))
-            self._cache = (L, alpha)
+            self._cache = self._factor_for(self.hyper)
         return self._cache
 
     # -- inference -----------------------------------------------------
 
-    def posterior(self, x: np.ndarray):
-        """Posterior (mean, variance) at x; variance clipped at zero."""
+    def _query_rows(self, x: np.ndarray) -> np.ndarray:
+        """One point (d,) or a stack (R, d) as an (R, d) float array."""
+        X = np.asarray(x, dtype=np.float64)
+        if X.ndim not in (1, 2) or X.shape[-1] != self.dim:
+            raise ValueError(f"query points must be (d,) or (R, d) with d = {self.dim}, "
+                             f"got shape {X.shape}")
+        return X.reshape(-1, self.dim)
+
+    def _posterior_terms(self, X: np.ndarray):
+        """At the rows of X (R, d): (dk/dr)/r as (R, n), v = L^-1 k^T as
+        (n, R), and the mean and the variance (clipped at zero) as (R,)."""
         if self.n < 1:
             raise ValueError("posterior requires at least one observation")
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        L, alpha = self._factor()
-        kvec = _kernel_matrix(self._X, x, self.hyper)[:, 0]
-        mu = float(kvec @ alpha)
-        v = np.linalg.solve(L, kvec)
-        var = float(self.hyper.theta0 ** 2 - v @ v)
-        return mu, max(var, 0.0)
+        h = self.hyper
+        k, q = _matern52(_sq_dists(X, self._X, h.lengthscales.shape[0]), h)
+        _, L_inv, alpha = self._factor()
+        v = L_inv @ k.T
+        return q, v, k @ alpha, np.maximum(h.theta0 ** 2 - np.sum(v * v, axis=0), 0.0)
+
+    def posterior(self, x: np.ndarray):
+        """Posterior (mean, variance) at x; variance clipped at zero.
+
+        One point (d,) gives floats; a stack (R, d) gives (R,) arrays.
+        """
+        _, _, mu, var = self._posterior_terms(self._query_rows(x))
+        if np.ndim(x) == 1:
+            return float(mu[0]), float(var[0])
+        return mu, var
 
     def posterior_with_grad(self, x: np.ndarray):
-        """(mu, var, dmu/dx, dvar/dx) via analytic kernel derivatives."""
-        if self.n < 1:
-            raise ValueError("posterior requires at least one observation")
-        x = np.asarray(x, dtype=np.float64)
-        L, alpha = self._factor()
-        h = self.hyper
-        xr = x.reshape(1, -1)
-        r2 = _pairwise_r2(self._X, xr, h)[:, 0]
-        r = np.sqrt(r2)
-        kvec = h.theta0 ** 2 * np.exp(-SQRT5 * r) * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2)
-        mu = float(kvec @ alpha)
-        sol = np.linalg.solve(L.T, np.linalg.solve(L, kvec))
-        var = max(float(h.theta0 ** 2 - kvec @ sol), 0.0)
+        """(mu, var, dmu/dx, dvar/dx) via analytic kernel derivatives.
 
-        # dk/dx_j = (dk/dr)/r * (x_j - X_ij)/ls_j^2, where
-        # (dk/dr)/r = -(5/3) theta0^2 (1 + sqrt5 r) exp(-sqrt5 r) has no
-        # singularity at r = 0.
-        q = -(5.0 / 3.0) * h.theta0 ** 2 * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
-        ls = h.lengthscales
-        ls2 = np.full(self.dim, ls[0] ** 2) if ls.shape[0] == 1 else ls ** 2
-        diff = (x[None, :] - self._X) / ls2[None, :]
-        dk = q[:, None] * diff  # (n, d)
-        dmu = dk.T @ alpha
-        dvar = -2.0 * (dk.T @ sol)
+        One point (d,) gives floats and (d,) gradients; a stack (R, d)
+        gives (R,) arrays and (R, d) gradients, row for row the same.
+        """
+        X = self._query_rows(x)
+        q, v, mu, var = self._posterior_terms(X)
+        _, L_inv, alpha = self._factor()
+        sol = L_inv.T @ v  # S^-1 k^T, (n, R)
+        # dk/dx_j = (dk/dr)/r * (x_j - X_ij)/ls_j^2; (dk/dr)/r is finite at r = 0.
+        # dk holds all but the 1/ls_j^2, which is applied to the sums.
+        dk = q[:, :, None] * (X[:, None, :] - self._X[None, :, :])  # (R, n, d)
+        ls_inv2 = self.hyper.lengthscales ** -2.0
+        dmu = np.matmul(alpha, dk) * ls_inv2
+        dvar = -2.0 * np.matmul(sol.T[:, None, :], dk)[:, 0] * ls_inv2
+        if np.ndim(x) == 1:
+            return float(mu[0]), float(var[0]), dmu[0], dvar[0]
         return mu, var, dmu, dvar
 
     # -- marginal likelihood --------------------------------------------
+
+    def _nlml_from(self, factor) -> float:
+        L, _, alpha = factor
+        # 0.5 log|S| = sum(log diag L)
+        return float(np.sum(np.log(np.diag(L)))) + 0.5 * float(self._y @ alpha)
 
     def nlml(self) -> float:
         """0.5 log|S| + 0.5 y^T S^-1 y (constant term dropped)."""
         if self.n < 1:
             raise ValueError("nlml requires at least one observation")
-        L, alpha = self._factor()
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        return 0.5 * logdet + 0.5 * float(self._y @ alpha)
+        return self._nlml_from(self._factor())
 
     def _log_params(self, hyper: GpHyper | None = None) -> np.ndarray:
         h = hyper or self.hyper
@@ -238,39 +260,27 @@ class GpModel:
             raise ValueError("nlml_grad requires at least one observation")
         h = self.hyper
         n = self.n
-        L, beta = self._factor()
-        Sinv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(n)))
-        A = Sinv - np.outer(beta, beta)
+        _, L_inv, beta = self._factor()
+        A = L_inv.T @ L_inv - np.outer(beta, beta)
 
-        r2 = _pairwise_r2(self._X, self._X, h)
-        r = np.sqrt(r2)
-        e = np.exp(-SQRT5 * r)
-        K = h.theta0 ** 2 * e * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2)
-        # (dK/dr)/r with the removable singularity at r = 0 eliminated
-        Q = -(5.0 / 3.0) * h.theta0 ** 2 * (1.0 + SQRT5 * r) * e
-
-        grads = []
-        # dS/dlog theta0 = 2K
-        grads.append(0.5 * float(np.sum(A * (2.0 * K))))
-        ls = h.lengthscales
-        if ls.shape[0] == 1:
-            # dr/dlog theta = -r  =>  dK/dlog theta = Q * r^2 * (-1) ... sign:
-            # dK/dlog theta = (dK/dr) * (-r) = (Q * r) * (-r) = -Q * r^2
-            grads.append(0.5 * float(np.sum(A * (-Q * r2))))
-        else:
-            for i in range(ls.shape[0]):
-                di2 = (self._X[:, i][:, None] - self._X[:, i][None, :]) ** 2 / ls[i] ** 2
-                # dK/dlog ls_i = Q * (-di2)
-                grads.append(0.5 * float(np.sum(A * (-Q * di2))))
+        D = self._obs_sq_dists(h)
+        K, Q = _matern52(D, h)
+        # dS/dlog theta0 = 2K; dK/dlog ls_i = (dK/dr) dr/dlog ls_i = -Q D_i / ls_i^2
+        # (D summed over dimensions for a shared lengthscale);
         # dS/dlog sigma_n = 2 sigma_n^2 I
-        grads.append(0.5 * float(np.trace(A)) * 2.0 * h.noise_var)
-        return np.array(grads)
+        return np.concatenate([
+            [float(np.sum(A * K))],
+            -0.5 * ((A * Q).ravel() @ D.reshape(n * n, -1)) * h.lengthscales ** -2.0,
+            [float(np.trace(A)) * h.noise_var],
+        ])
 
     def fit_hypers(self, steps: int = 50, learning_rate: float = 0.1) -> GpHyper:
         """Backtracking gradient descent on nlml in log-space.
 
         Accepted steps never increase nlml; bounds are enforced by clipping
-        in log-space. Returns (and installs) the fitted hyperparameters.
+        in log-space. A trial hyper is factored on this model's data, and an
+        accepted trial's factor becomes the cached one. Returns (and
+        installs) the fitted hyperparameters.
         """
         if self.n < 2:
             raise ValueError("fitting requires at least two observations")
@@ -282,17 +292,16 @@ class GpModel:
             accepted = False
             for _ in range(30):
                 cand = self._hyper_from_log(p - lr * g)
-                trial = GpModel(self.dim, hyper=cand, isotropic=self.isotropic)
-                trial.set_data(self._X, self._y)
                 try:
-                    val = trial.nlml()
+                    factor = self._factor_for(cand)
                 except GpFactorizationError:
                     lr *= 0.5
                     continue
+                val = self._nlml_from(factor)
                 if val <= current:
-                    p = trial._log_params()
+                    p = self._log_params(cand)
                     current = val
-                    self.set_hyper(cand)
+                    self.hyper, self._cache = cand, factor
                     accepted = True
                     break
                 lr *= 0.5

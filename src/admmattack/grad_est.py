@@ -45,7 +45,7 @@ def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
     d = delta.shape[0]
     u = rng.standard_normal((cfg.q, d))
     if cfg.direction_dist is DirectionDist.UNIT_SPHERE:
-        u /= np.array([np.linalg.norm(row) for row in u])[:, None]
+        u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])  # row norms, bitwise equal to np.linalg.norm
     values = np.asarray(loss(np.vstack([delta, delta + cfg.nu * u])), dtype=np.float64)
     base = float(values[0])
     if not math.isfinite(base):

@@ -6,10 +6,11 @@ import pytest
 from admmattack.bo import (
     BoConfig,
     BoDeltaSolver,
+    _sample_feasible,
     ei_gradient,
     expected_improvement,
 )
-from admmattack.core import RngStream, box_feasible
+from admmattack.core import RngStream, box_feasible, project_box_linf
 from admmattack.gp import GpHyper, GpModel
 
 
@@ -91,6 +92,119 @@ class TestEiGradient:
         g, degenerate = ei_gradient(ZeroVarModel(), np.array([0.3]), 1.0)
         assert degenerate
         np.testing.assert_array_equal(g, np.zeros(1))
+
+
+class TestBatchedEiGradient:
+    @pytest.mark.parametrize("isotropic", [False, True])
+    def test_stack_equals_single_points(self, isotropic):
+        rng = RngStream(2)
+        d = 3
+        X = rng.uniform(-1, 1, (14, d))
+        y = np.sin(2 * X[:, 0]) + 0.5 * X[:, -1]
+        ls = np.full(1 if isotropic else d, 0.8)
+        model = GpModel(d, hyper=GpHyper(theta0=1.0, lengthscales=ls, noise_var=1e-4),
+                        isotropic=isotropic)
+        model.set_data(X, y)
+        l_plus = float(np.min(y))
+        Q = rng.uniform(-1, 1, (7, d))
+        g, degenerate = ei_gradient(model, Q, l_plus)
+        assert g.shape == (7, d)
+        assert degenerate.dtype == bool and not degenerate.any()
+        for r in range(7):
+            g1, deg1 = ei_gradient(model, Q[r], l_plus)
+            assert deg1 is False
+            np.testing.assert_allclose(g[r], g1, rtol=1e-12)
+
+    def test_degenerate_rows_get_zero_gradient(self):
+        class HalfZeroVarModel:
+            def posterior_with_grad(self, x):
+                n = x.shape[0]
+                var = np.where(np.arange(n) % 2 == 0, 0.0, 0.25)
+                return np.full(n, 0.5), var, np.ones_like(x), np.ones_like(x)
+
+        g, degenerate = ei_gradient(HalfZeroVarModel(), np.zeros((4, 2)), 1.0)
+        np.testing.assert_array_equal(degenerate, [True, False, True, False])
+        np.testing.assert_array_equal(g[degenerate], np.zeros((2, 2)))
+        assert np.all(g[~degenerate] != 0.0)
+
+
+def reference_maximize_ei(solver, model, l_plus, rng):
+    """The per-start EI ascent: each start walks alone and stops at its
+    first degenerate point; the first strict maximum of the final EI wins."""
+    cfg = solver.cfg
+    best_x, best_ei = None, -1.0
+    starts = [np.array(solver._points[int(np.argmin(model.targets))])]
+    while len(starts) < cfg.ei_restarts:
+        starts.append(_sample_feasible(solver.x0, solver.epsilon, rng))
+    for x in starts:
+        x = project_box_linf(solver.x0, x, solver.epsilon)
+        for _ in range(cfg.ei_steps):
+            g, degenerate = ei_gradient(model, x, l_plus)
+            if degenerate:
+                break
+            x = project_box_linf(solver.x0, x + cfg.ei_learning_rate * g, solver.epsilon)
+        mu, var = model.posterior(x)
+        ei = expected_improvement(mu, math.sqrt(var), l_plus)
+        if ei > best_ei:
+            best_ei, best_x = ei, x
+    return best_x, best_ei
+
+
+class FreezeBelow:
+    """A GP whose variance reads 0 where x[1] < cut, so a start that steps
+    there turns degenerate; records the rows of each gradient call."""
+
+    def __init__(self, model, cut):
+        self.model, self.cut, self.rows = model, cut, []
+
+    @property
+    def targets(self):
+        return self.model.targets
+
+    def posterior(self, x):
+        return self.model.posterior(x)
+
+    def posterior_with_grad(self, x):
+        mu, var, dmu, dvar = self.model.posterior_with_grad(x)
+        self.rows.append(np.atleast_2d(x).shape[0])
+        return mu, np.where(np.asarray(x)[..., 1] < self.cut, 0.0, var), dmu, dvar
+
+
+class TestBatchedMaximizeEi:
+    def problem(self):
+        d = 2
+        solver = BoDeltaSolver(np.full(d, 0.5), 0.5, BoConfig(ei_restarts=5, ei_steps=50))
+        rng = RngStream(60)
+        for _ in range(6):
+            delta = rng.uniform(-0.5, 0.5, d)
+            solver._record(delta, float(np.sum((delta - 0.3) ** 2)))
+        model = GpModel(d, hyper=GpHyper(theta0=0.5, lengthscales=np.full(d, 0.4),
+                                         noise_var=1e-4))
+        model.set_data(np.array(solver._points), np.array(solver._f_values))
+        return solver, model, float(np.min(model.targets))
+
+    def assert_same(self, got, want):
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-10)
+        assert got[1] == pytest.approx(want[1], rel=1e-10)
+
+    def test_matches_per_start_reference(self):
+        solver, model, l_plus = self.problem()
+        got = solver._maximize_ei(model, l_plus, RngStream(61))
+        want = reference_maximize_ei(solver, model, l_plus, RngStream(61))
+        self.assert_same(got, want)
+
+    def test_degenerate_start_freezes_while_others_move(self):
+        solver, model, l_plus = self.problem()
+        batched = FreezeBelow(model, 0.22)
+        got = solver._maximize_ei(batched, l_plus, RngStream(61))
+        want = reference_maximize_ei(solver, FreezeBelow(model, 0.22), l_plus, RngStream(61))
+        self.assert_same(got, want)
+        rows = batched.rows
+        # one batched call per step; starts drop out after moving for a
+        # while, and the rest keep stepping to the last step
+        assert len(rows) == solver.cfg.ei_steps
+        assert rows[0] == 5 and rows[-1] >= 1
+        assert any(rows[i] < rows[i - 1] for i in range(3, len(rows)))
 
 
 class TestBoDeltaSolver:

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import admmattack.cli as cli
 from admmattack.cli import (
     CSV_HEADER,
     EXIT_NO_SUCCESS,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     main,
     summarize_reports,
@@ -134,6 +136,24 @@ class TestAttack:
         code = main(["attack", "--weights", str(trained_weights),
                      "--out", str(tmp_path / "r"), "--budget", "0"])
         assert code == EXIT_USAGE
+
+    def test_mid_run_fault_is_not_a_usage_error(self, tmp_path, trained_weights,
+                                                monkeypatch, capsys):
+        real_run_attack = cli.run_attack
+        calls = []
+
+        def faulty_run_attack(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("non-finite loss value at the base point")
+            return real_run_attack(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_attack", faulty_run_attack)
+        code = run_attack(tmp_path / "r", trained_weights, "--budget", "200")
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "pair 1" in err
+        assert "non-finite loss value" in err
 
     def test_decision_mode_smoke(self, tmp_path, trained_weights):
         out = tmp_path / "reports"

@@ -4,12 +4,28 @@ import numpy as np
 import pytest
 
 from admmattack.core import RngStream
-from admmattack.gp import (
-    GpHyper,
-    GpModel,
-    _kernel_matrix,
-    matern52,
-)
+from admmattack.gp import GpHyper, GpModel, _kernel_matrix
+
+
+def _scaled_r(x, y, hyper):
+    diff = (np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
+    ls = hyper.lengthscales
+    if ls.shape[0] == 1:
+        scaled = diff / ls[0]
+    else:
+        scaled = diff / ls
+    return float(np.sqrt(np.sum(scaled * scaled)))
+
+
+def matern52(x, y, hyper):
+    """Scalar reference kernel: theta0^2 * exp(-sqrt5 r) * (1 + sqrt5 r + (5/3) r^2)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError("kernel arguments must have equal length")
+    r = _scaled_r(x, y, hyper)
+    return hyper.theta0 ** 2 * math.exp(-math.sqrt(5.0) * r) * (
+        1.0 + math.sqrt(5.0) * r + (5.0 / 3.0) * r * r)
 
 
 def naive_posterior(X, y, x, hyper):
@@ -254,3 +270,78 @@ class TestFitHypers:
 def test_isotropic_default_for_high_dim():
     assert GpModel(64).isotropic
     assert not GpModel(4).isotropic
+
+
+class TestBatchedPosterior:
+    def model(self, isotropic, seed=40, n=15, d=3):
+        rng = RngStream(seed)
+        X = rng.uniform(-1, 1, (n, d))
+        y = np.sin(2 * X[:, 0]) + X[:, -1] ** 2
+        ls = rng.uniform(0.5, 2.0, 1 if isotropic else d)
+        model = GpModel(d, hyper=GpHyper(theta0=1.3, lengthscales=ls, noise_var=1e-4),
+                        isotropic=isotropic)
+        model.set_data(X, y)
+        return model, rng.uniform(-1.2, 1.2, (6, d))
+
+    @pytest.mark.parametrize("isotropic", [False, True])
+    def test_posterior_with_grad_stack_equals_single_points(self, isotropic):
+        model, Q = self.model(isotropic)
+        mu, var, dmu, dvar = model.posterior_with_grad(Q)
+        assert mu.shape == var.shape == (6,)
+        assert dmu.shape == dvar.shape == (6, 3)
+        for r in range(6):
+            m1, v1, dm1, dv1 = model.posterior_with_grad(Q[r])
+            assert isinstance(m1, float) and isinstance(v1, float)
+            np.testing.assert_allclose(mu[r], m1, rtol=1e-12)
+            np.testing.assert_allclose(var[r], v1, rtol=1e-12)
+            np.testing.assert_allclose(dmu[r], dm1, rtol=1e-12)
+            np.testing.assert_allclose(dvar[r], dv1, rtol=1e-12)
+
+    @pytest.mark.parametrize("isotropic", [False, True])
+    def test_posterior_stack_equals_single_points_and_grad_path(self, isotropic):
+        model, Q = self.model(isotropic, seed=41)
+        mu, var = model.posterior(Q)
+        mu_g, var_g, _, _ = model.posterior_with_grad(Q)
+        np.testing.assert_array_equal(mu, mu_g)
+        np.testing.assert_array_equal(var, var_g)
+        for r in range(6):
+            m1, v1 = model.posterior(Q[r])
+            np.testing.assert_allclose([mu[r], var[r]], [m1, v1], rtol=1e-12)
+
+    def test_bad_query_shapes_raise(self):
+        model, _ = self.model(False)
+        for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3)), np.float64(0.5)):
+            with pytest.raises(ValueError):
+                model.posterior(bad)
+            with pytest.raises(ValueError):
+                model.posterior_with_grad(bad)
+
+
+class TestFitWithoutThrowawayModels:
+    @pytest.mark.parametrize("d, isotropic", [(3, False), (40, True)])
+    def test_nlml_never_increases_step_by_step(self, d, isotropic):
+        rng = RngStream(50)
+        X = rng.uniform(-1, 1, (25, d))
+        y = np.cos(3 * X[:, 0]) + 0.05 * rng.standard_normal(25)
+        values = []
+        for steps in range(12):
+            model = GpModel(d, isotropic=isotropic)
+            model.set_data(X, y)
+            model.fit_hypers(steps=steps, learning_rate=0.3)
+            values.append(model.nlml())
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] < values[0]
+
+    def test_cached_factor_equals_a_fresh_factorization(self):
+        rng = RngStream(51)
+        X = rng.uniform(-1, 1, (20, 2))
+        y = np.sin(3 * X[:, 0]) * X[:, 1]
+        model = GpModel(2)
+        model.set_data(X, y)
+        model.fit_hypers(steps=10)
+        fresh = GpModel(2, hyper=model.hyper)
+        fresh.set_data(X, y)
+        assert model.nlml() == fresh.nlml()
+        np.testing.assert_array_equal(model.nlml_grad(), fresh.nlml_grad())
+        x = rng.uniform(-1, 1, 2)
+        assert model.posterior(x) == fresh.posterior(x)
