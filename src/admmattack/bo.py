@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import RngStream, as_vector, feasible_bounds
 from .gp import GpFactorizationError, GpModel
@@ -46,8 +45,11 @@ def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # math.erfc element-wise, as objects
+
+
 def _norm_cdf(z):
-    return 0.5 * erfc(-z / math.sqrt(2.0))
+    return 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=np.float64)
 
 
 def expected_improvement(mu: float, sigma: float, l_plus: float) -> float:
@@ -83,54 +85,55 @@ def ei_gradient(model: GpModel, x: np.ndarray, l_plus: float):
     return grad, degenerate
 
 
-def _sample_feasible(x0: np.ndarray, epsilon: float, rng: RngStream) -> np.ndarray:
-    lo, hi = feasible_bounds(x0, epsilon)
-    return rng.uniform(lo, hi)
-
-
 class BoDeltaSolver:
     """Stateful BO delta-step with warm-started observations.
 
-    Stores (delta, raw f-value) pairs across calls; each call re-derives
-    the surrogate targets l = f + (rho/2)||delta - b||^2 under the new b.
+    Stores the queried deltas as one (n, d) array and their raw f-values as
+    one (n,) array across calls, keeping the last max_observations rows;
+    each call re-derives the surrogate targets l = f + (rho/2)||delta - b||^2
+    under the new b.
     """
 
     def __init__(self, x0: np.ndarray, epsilon: float, cfg: BoConfig):
         self.x0 = as_vector(x0)
         self.epsilon = float(epsilon)
         self.cfg = cfg
-        self._points: list[np.ndarray] = []
-        self._f_values: list[float] = []
+        self.lo, self.hi = feasible_bounds(self.x0, self.epsilon)
+        self._X = np.zeros((0, self.x0.shape[0]))
+        self._f = np.zeros(0)
 
     @property
     def best_f(self) -> float:
-        return min(self._f_values) if self._f_values else float("nan")
+        return float(np.min(self._f)) if self._f.size else float("nan")
 
-    def _record(self, delta: np.ndarray, f_val: float) -> None:
-        self._points.append(np.array(delta))
-        self._f_values.append(float(f_val))
-        if len(self._points) > self.cfg.max_observations:
-            self._points.pop(0)
-            self._f_values.pop(0)
+    def _sample(self, n: int, rng: RngStream) -> np.ndarray:
+        """n feasible deltas, one uniform draw of shape (n, d)."""
+        return rng.uniform(self.lo, self.hi, (n, self.x0.shape[0]))
+
+    def _query(self, X: np.ndarray, f_loss) -> None:
+        """Evaluate f at the rows of X in one loss call and record them."""
+        f = np.asarray(f_loss(X), dtype=np.float64)
+        if f.shape != (X.shape[0],):
+            raise ValueError(f"f_loss must return one value per row, got shape {f.shape}")
+        keep = self.cfg.max_observations
+        self._X = np.concatenate([self._X, X])[-keep:]
+        self._f = np.concatenate([self._f, f])[-keep:]
 
     def _targets(self, b: np.ndarray, rho: float) -> np.ndarray:
-        pts = np.array(self._points)
-        quad = 0.5 * rho * np.sum((pts - b[None, :]) ** 2, axis=1)
-        return np.array(self._f_values) + quad
+        return self._f + 0.5 * rho * np.sum((self._X - b[None, :]) ** 2, axis=1)
 
     def _maximize_ei(self, model: GpModel, l_plus: float, rng: RngStream):
         """Projected gradient ascent on EI from several feasible starts.
 
-        All starts step together, one batched EI gradient per step; a start
-        stops where its posterior variance is degenerate. The first start
-        with the strictly largest final EI wins.
+        The incumbent and ei_restarts - 1 random draws start; all step
+        together, one batched EI gradient per step, and a start stops where
+        its posterior variance is degenerate. The first start with the
+        strictly largest final EI wins.
         """
         cfg = self.cfg
-        lo, hi = feasible_bounds(self.x0, self.epsilon)
-        starts = [np.array(self._points[int(np.argmin(model.targets))])]
-        while len(starts) < cfg.ei_restarts:
-            starts.append(_sample_feasible(self.x0, self.epsilon, rng))
-        x = np.clip(np.array(starts), lo, hi)
+        lo, hi = self.lo, self.hi
+        incumbent = self._X[int(np.argmin(model.targets))]
+        x = np.clip(np.vstack([incumbent, self._sample(cfg.ei_restarts - 1, rng)]), lo, hi)
         active = np.arange(len(x))
         for _ in range(cfg.ei_steps):
             g, degenerate = ei_gradient(model, x[active], l_plus)
@@ -148,20 +151,16 @@ class BoDeltaSolver:
     def step(self, b: np.ndarray, rho: float, f_loss, rng: RngStream) -> np.ndarray:
         """One BO delta-step; returns the best-observed feasible delta.
 
-        f_loss evaluates the attack loss f at a perturbation (and is what
-        consumes oracle queries). Every point queried is feasible.
+        f_loss maps a stack of perturbations (n, d) to the attack loss f of
+        each row (n,), and is what consumes oracle queries. Every point
+        queried is feasible.
         """
         b = as_vector(b)
         cfg = self.cfg
-        for _ in range(cfg.init_samples):
-            delta = _sample_feasible(self.x0, self.epsilon, rng)
-            self._record(delta, f_loss(delta))
-
+        self._query(self._sample(cfg.init_samples, rng), f_loss)
         model = GpModel(dim=self.x0.shape[0])
-        y = self._targets(b, rho)
-        model.set_data(np.array(self._points), y)
-
         for _ in range(cfg.max_bo_iters):
+            model.set_data(self._X, self._targets(b, rho))
             # A fit needs two observations; a covariance that stays non-PD
             # keeps the current hyperparameters.
             if model.n >= 2:
@@ -169,15 +168,8 @@ class BoDeltaSolver:
                     model.fit_hypers(cfg.fit_steps, cfg.fit_learning_rate)
                 except GpFactorizationError:
                     pass
-            l_plus = float(np.min(model.targets))
-            cand, ei = self._maximize_ei(model, l_plus, rng)
-            if cand is None or ei <= 0.0:
-                cand = _sample_feasible(self.x0, self.epsilon, rng)
-            f_val = f_loss(cand)
-            self._record(cand, f_val)
-            y = self._targets(b, rho)
-            model.set_data(np.array(self._points), y)
-
-        y = self._targets(b, rho)
-        best = int(np.argmin(y))
-        return np.array(self._points[best])
+            cand, ei = self._maximize_ei(model, float(np.min(model.targets)), rng)
+            if ei <= 0.0:  # also when no start had a finite EI (cand is None)
+                cand = self._sample(1, rng)[0]
+            self._query(cand[None, :], f_loss)
+        return self._X[int(np.argmin(self._targets(b, rho)))].copy()

@@ -249,6 +249,8 @@ def cmd_attack(args) -> int:
     settings = _resolve_settings(args)
     if settings["budget"] <= 0:
         raise UsageError("--budget must be positive")
+    if settings["pairs"] < 1:
+        raise UsageError("--pairs must be positive")
     if settings["norm"] not in NORMS:
         raise UsageError(f"unknown norm {settings['norm']!r}; choices: {sorted(NORMS)}")
 
@@ -375,9 +377,11 @@ def cmd_report(args) -> int:
     docs = []
     for path in paths:
         try:
-            docs.append(json.loads(path.read_text()))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise UsageError(f"malformed report {path}: {exc}")
+            doc = json.loads(path.read_text())
+            summarize_reports([doc])  # a well-formed report summarizes on its own
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise UsageError(f"malformed report {path}: {type(exc).__name__}: {exc}")
+        docs.append(doc)
     summary = summarize_reports(docs)
 
     def fmt(v):

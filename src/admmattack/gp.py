@@ -109,10 +109,6 @@ class GpModel:
         return self._X.shape[0]
 
     @property
-    def points(self) -> np.ndarray:
-        return self._X
-
-    @property
     def targets(self) -> np.ndarray:
         return self._y
 
@@ -124,10 +120,6 @@ class GpModel:
         self._X = X.copy()
         self._y = y.copy()
         self._D = None
-        self._cache = None
-
-    def set_hyper(self, hyper: GpHyper) -> None:
-        self.hyper = hyper
         self._cache = None
 
     # -- factorization -------------------------------------------------

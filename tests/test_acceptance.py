@@ -391,9 +391,9 @@ def test_criterion_10_bo_admm_query_frugality(softmax_victim, digits):
     for seed in range(20):
         calls = []
 
-        def f_loss(delta):
-            calls.append(float(delta[0]))
-            return float((delta[0] - 0.3) ** 2)
+        def f_loss(D):
+            calls.extend(float(v) for v in D[:, 0])  # one query per row
+            return (D[:, 0] - 0.3) ** 2
 
         solver = BoDeltaSolver(np.array([0.5]), 1.0,
                                BoConfig(init_samples=5, max_bo_iters=15))

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import admmattack
 from admmattack.bo import (
     BoConfig,
     BoDeltaSolver,
-    _sample_feasible,
     ei_gradient,
     expected_improvement,
 )
@@ -133,9 +138,8 @@ def reference_maximize_ei(solver, model, l_plus, rng):
     first degenerate point; the first strict maximum of the final EI wins."""
     cfg = solver.cfg
     best_x, best_ei = None, -1.0
-    starts = [np.array(solver._points[int(np.argmin(model.targets))])]
-    while len(starts) < cfg.ei_restarts:
-        starts.append(_sample_feasible(solver.x0, solver.epsilon, rng))
+    starts = [solver._X[int(np.argmin(model.targets))]]
+    starts.extend(solver._sample(cfg.ei_restarts - 1, rng))
     for x in starts:
         x = project_box_linf(solver.x0, x, solver.epsilon)
         for _ in range(cfg.ei_steps):
@@ -174,13 +178,11 @@ class TestBatchedMaximizeEi:
     def problem(self):
         d = 2
         solver = BoDeltaSolver(np.full(d, 0.5), 0.5, BoConfig(ei_restarts=5, ei_steps=50))
-        rng = RngStream(60)
-        for _ in range(6):
-            delta = rng.uniform(-0.5, 0.5, d)
-            solver._record(delta, float(np.sum((delta - 0.3) ** 2)))
+        deltas = RngStream(60).uniform(-0.5, 0.5, (6, d))
+        solver._query(deltas, lambda X: np.sum((X - 0.3) ** 2, axis=1))
         model = GpModel(d, hyper=GpHyper(theta0=0.5, lengthscales=np.full(d, 0.4),
                                          noise_var=1e-4))
-        model.set_data(np.array(solver._points), np.array(solver._f_values))
+        model.set_data(solver._X, solver._f)
         return solver, model, float(np.min(model.targets))
 
     def assert_same(self, got, want):
@@ -211,16 +213,16 @@ class TestBoDeltaSolver:
     def quadratic_setup(self, d=1, eps=1.0):
         x0 = np.full(d, 0.5)
         target = np.full(d, 0.3)
-        f_loss = lambda delta: float(np.sum((delta - target) ** 2))
+        f_loss = lambda D: np.sum((D - target) ** 2, axis=1)
         return x0, target, f_loss
 
     def test_finds_1d_quadratic_minimum(self):
         x0, target, f_loss = self.quadratic_setup()
         calls = []
 
-        def counted(delta):
-            calls.append(np.array(delta))
-            return f_loss(delta)
+        def counted(D):
+            calls.extend(np.array(D))
+            return f_loss(D)
 
         solver = BoDeltaSolver(x0, 1.0, BoConfig(init_samples=5, max_bo_iters=15))
         out = solver.step(b=np.zeros(1), rho=0.0, f_loss=counted, rng=RngStream(10))
@@ -232,9 +234,9 @@ class TestBoDeltaSolver:
         eps = 0.3
         seen = []
 
-        def f_loss(delta):
-            seen.append(np.array(delta))
-            return float(np.sum(delta ** 2))
+        def f_loss(D):
+            seen.extend(np.array(D))
+            return np.sum(D ** 2, axis=1)
 
         solver = BoDeltaSolver(x0, eps, BoConfig(init_samples=4, max_bo_iters=8))
         solver.step(b=np.zeros(3), rho=1.0, f_loss=f_loss, rng=RngStream(11))
@@ -247,17 +249,17 @@ class TestBoDeltaSolver:
         solver = BoDeltaSolver(x0, 0.5, BoConfig(init_samples=3, max_bo_iters=5))
         b = np.array([0.2])
         rho = 2.0
-        f_loss = lambda delta: float((delta[0] - 0.1) ** 2)
+        f_loss = lambda D: (D[:, 0] - 0.1) ** 2
         out = solver.step(b=b, rho=rho, f_loss=f_loss, rng=RngStream(12))
         assert box_feasible(x0, out, 0.5)
         targets = solver._targets(b, rho)
-        out_target = f_loss(out) + 0.5 * rho * float(np.sum((out - b) ** 2))
+        out_target = f_loss(out[None])[0] + 0.5 * rho * float(np.sum((out - b) ** 2))
         assert out_target == pytest.approx(float(np.min(targets)), abs=1e-12)
 
     def test_incumbent_non_increasing_across_iters(self):
         x0 = np.full(2, 0.5)
         solver = BoDeltaSolver(x0, 1.0, BoConfig(init_samples=5, max_bo_iters=1))
-        f_loss = lambda delta: float(np.sum((delta - 0.2) ** 2))
+        f_loss = lambda D: np.sum((D - 0.2) ** 2, axis=1)
         b, rho = np.zeros(2), 1.0
         prev = None
         for _ in range(8):
@@ -270,17 +272,16 @@ class TestBoDeltaSolver:
     def test_observations_carry_over_between_steps(self):
         x0 = np.array([0.5])
         solver = BoDeltaSolver(x0, 1.0, BoConfig(init_samples=3, max_bo_iters=2))
-        f_loss = lambda delta: float(delta[0] ** 2)
+        f_loss = lambda D: D[:, 0] ** 2
         solver.step(b=np.zeros(1), rho=1.0, f_loss=f_loss, rng=RngStream(14))
-        n_after_first = len(solver._points)
+        n_after_first = len(solver._X)
         solver.step(b=np.full(1, 0.1), rho=1.0, f_loss=f_loss, rng=RngStream(15))
-        assert len(solver._points) == n_after_first + 3 + 2
+        assert len(solver._X) == n_after_first + 3 + 2
 
     def test_targets_rederived_under_new_b(self):
         x0 = np.array([0.5])
         solver = BoDeltaSolver(x0, 1.0, BoConfig())
-        solver._record(np.array([0.2]), 1.5)
-        solver._record(np.array([-0.1]), 0.5)
+        solver._query(np.array([[0.2], [-0.1]]), lambda D: np.array([1.5, 0.5]))
         b, rho = np.array([0.3]), 4.0
         expected = np.array([1.5 + 2.0 * 0.01, 0.5 + 2.0 * 0.16])
         np.testing.assert_allclose(solver._targets(b, rho), expected, atol=1e-12)
@@ -289,20 +290,28 @@ class TestBoDeltaSolver:
         x0 = np.array([0.5])
         cfg = BoConfig(init_samples=5, max_bo_iters=3, max_observations=10)
         solver = BoDeltaSolver(x0, 1.0, cfg)
-        f_loss = lambda delta: float(delta[0] ** 2)
+        queried = []
+
+        def f_loss(D):
+            queried.extend(D[:, 0])
+            return D[:, 0] ** 2
+
         for i in range(4):
             solver.step(b=np.zeros(1), rho=1.0, f_loss=f_loss, rng=RngStream(20 + i))
-        assert len(solver._points) == 10
-        assert len(solver._f_values) == 10
+        assert len(solver._X) == 10
+        assert len(solver._f) == 10
+        # the oldest rows are dropped: the last 10 queried remain, in order
+        np.testing.assert_array_equal(solver._X[:, 0], queried[-10:])
+        np.testing.assert_array_equal(solver._f, np.array(queried[-10:]) ** 2)
 
     def test_single_init_sample_skips_the_first_fit(self):
         # one observation cannot be fitted; the step must still run
         x0 = np.full(2, 0.5)
         solver = BoDeltaSolver(x0, 1.0, BoConfig(init_samples=1, max_bo_iters=3))
-        f_loss = lambda delta: float(np.sum((delta - 0.2) ** 2))
+        f_loss = lambda D: np.sum((D - 0.2) ** 2, axis=1)
         out = solver.step(b=np.zeros(2), rho=1.0, f_loss=f_loss, rng=RngStream(30))
         assert box_feasible(x0, out, 1.0)
-        assert len(solver._points) == 1 + 3
+        assert len(solver._X) == 1 + 3
 
     def test_unexpected_fit_error_propagates(self, monkeypatch):
         def broken_fit(self, steps, learning_rate):
@@ -311,14 +320,63 @@ class TestBoDeltaSolver:
         monkeypatch.setattr(GpModel, "fit_hypers", broken_fit)
         solver = BoDeltaSolver(np.full(2, 0.5), 1.0, BoConfig(init_samples=3, max_bo_iters=2))
         with pytest.raises(RuntimeError, match="broken fit"):
-            solver.step(b=np.zeros(2), rho=1.0, f_loss=lambda delta: 0.0, rng=RngStream(31))
+            solver.step(b=np.zeros(2), rho=1.0, f_loss=lambda D: np.zeros(len(D)),
+                        rng=RngStream(31))
 
     def test_best_f_tracks_minimum_raw_value(self):
         solver = BoDeltaSolver(np.array([0.5]), 1.0, BoConfig())
         assert math.isnan(solver.best_f)
-        solver._record(np.array([0.1]), 2.0)
-        solver._record(np.array([0.2]), -1.0)
+        solver._query(np.array([[0.1]]), lambda D: np.array([2.0]))
+        solver._query(np.array([[0.2]]), lambda D: np.array([-1.0]))
         assert solver.best_f == -1.0
+
+    def test_init_samples_are_one_loss_call(self):
+        # the init samples go to the loss as one stack, then one row per
+        # BO iteration
+        rows = []
+
+        def f_loss(D):
+            rows.append(D.shape)
+            return np.sum(D ** 2, axis=1)
+
+        solver = BoDeltaSolver(np.full(3, 0.5), 0.4, BoConfig(init_samples=5, max_bo_iters=4))
+        solver.step(b=np.zeros(3), rho=1.0, f_loss=f_loss, rng=RngStream(32))
+        assert rows == [(5, 3)] + [(1, 3)] * 4
+
+    def test_one_stacked_draw_equals_single_draws(self):
+        # the documented draw order: one (k, d) uniform draw gives the same
+        # values as k single draws
+        solver = BoDeltaSolver(np.array([0.05, 0.5, 0.97]), 0.3, BoConfig())
+        stacked = solver._sample(6, RngStream(33))
+        rng = RngStream(33)
+        single = np.array([rng.uniform(solver.lo, solver.hi) for _ in range(6)])
+        np.testing.assert_array_equal(stacked, single)
+
+    def test_loss_with_wrong_row_count_is_rejected(self):
+        solver = BoDeltaSolver(np.full(2, 0.5), 1.0, BoConfig(init_samples=3))
+        with pytest.raises(ValueError, match="one value per row"):
+            solver.step(b=np.zeros(2), rho=1.0, f_loss=lambda D: 0.0, rng=RngStream(34))
+
+
+def test_package_runs_without_scipy():
+    # one BO step in a fresh interpreter; a SciPy import anywhere on the
+    # way, at import time or inside a function, leaves it in sys.modules
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import admmattack
+        from admmattack.bo import BoConfig, BoDeltaSolver
+        from admmattack.core import RngStream
+        solver = BoDeltaSolver(np.full(2, 0.5), 1.0, BoConfig(init_samples=3, max_bo_iters=2))
+        solver.step(np.zeros(2), 1.0, lambda D: np.sum(D * D, axis=1), RngStream(0))
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+    """)
+    src = str(Path(admmattack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_config_validation():

@@ -137,6 +137,19 @@ class TestAttack:
                      "--out", str(tmp_path / "r"), "--budget", "0"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("how", ["0", "-3", "config"])
+    def test_nonpositive_pairs_is_usage_error(self, tmp_path, trained_weights, how):
+        out = tmp_path / "r"
+        args = ["attack", "--weights", str(trained_weights), "--out", str(out)]
+        if how == "config":
+            cfg = tmp_path / "zero.cfg"
+            cfg.write_text("pairs = 0\n")
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--pairs", how]
+        assert main(args) == EXIT_USAGE
+        assert not out.exists()
+
     def test_mid_run_fault_is_not_a_usage_error(self, tmp_path, trained_weights,
                                                 monkeypatch, capsys):
         real_run_attack = cli.run_attack
@@ -203,6 +216,19 @@ class TestReport:
     def test_malformed_json_is_usage_error(self, tmp_path):
         (tmp_path / "pair_0000.json").write_text("{not json")
         assert main(["report", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[]",
+        '{"summary": null}',
+        '{"summary": {"success": true, "total_queries": 10}}',
+    ])
+    def test_report_missing_keys_is_usage_error(self, tmp_path, capsys, text):
+        self.make_reports(tmp_path, [self.summary(True, 100, 2.0, 150)])
+        (tmp_path / "pair_0001.json").write_text(text)
+        assert main(["report", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "malformed report" in err and "pair_0001.json" in err
 
     def test_summarize_empty(self):
         out = summarize_reports([])
