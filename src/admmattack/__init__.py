@@ -28,7 +28,7 @@ from .core import (
     project_box_linf,
 )
 from .gp import GpHyper, GpModel
-from .grad_est import DirectionDist, RgeConfig, rge_with_base
+from .grad_est import RgeConfig, rge_with_base
 from .losses import (
     BallDist,
     FeedbackMode,
@@ -61,7 +61,6 @@ __all__ = [
     "BoDeltaSolver",
     "Dataset",
     "DeltaBackend",
-    "DirectionDist",
     "Distortion",
     "FeedbackMode",
     "GpHyper",

@@ -49,7 +49,6 @@ class DeltaBackend(enum.Enum):
 class AdmmConfig:
     rho: float = 10.0
     alpha: float = 1.0  # step-size schedule eta_k = alpha * sqrt(k)
-    max_iters: int = 100000
     max_queries: int = 20000
     success_then_refine: bool = True
     delta_backend: DeltaBackend = DeltaBackend.ZO
@@ -59,8 +58,8 @@ class AdmmConfig:
             raise ValueError("rho must be positive")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.max_iters < 0 or self.max_queries < 0:
-            raise ValueError("budgets must be nonnegative")
+        if self.max_queries < 0:
+            raise ValueError("the query budget must be nonnegative")
 
 
 @dataclass
@@ -277,7 +276,6 @@ def run_attack(
     report = RunReport(config={
         "rho": cfg.rho,
         "alpha": cfg.alpha,
-        "max_iters": cfg.max_iters,
         "max_queries": cfg.max_queries,
         "backend": cfg.delta_backend.value,
         "feedback": loss_cfg.mode.value,
@@ -291,7 +289,8 @@ def run_attack(
     })
 
     # Per-iteration query cost is known up front, so the budget is a hard
-    # cap: an iteration that could not finish within it never starts.
+    # cap: an iteration that could not finish within it never starts. Every
+    # iteration charges at least its success probe, so the budget ends the loop.
     per_eval = (
         loss_cfg.smoothing_samples if loss_cfg.mode is FeedbackMode.DECISION else 1
     )
@@ -302,9 +301,7 @@ def run_attack(
         iter_cost = n_evals * per_eval + 1
 
     start_queries = oracle.queries_used
-    while state.k < cfg.max_iters:
-        if oracle.queries_used - start_queries + iter_cost > cfg.max_queries:
-            break
+    while oracle.queries_used - start_queries + iter_cost <= cfg.max_queries:
         if state.best.success and not cfg.success_then_refine:
             break
         state, record = admm_iterate(

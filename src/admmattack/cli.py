@@ -1,9 +1,10 @@
 """Command-line harness: train victims, run attack batches, report results.
 
 Config precedence is flags > config file (``key = value`` lines) > built-in
-preset. A single ``--seed`` deterministically derives every module seed, so
-identical invocations produce byte-identical aggregate CSVs (timestamps are
-isolated in one JSON field).
+preset; a config key must be one of the preset's settings. A single
+``--seed`` deterministically derives every module seed, so identical
+invocations produce byte-identical aggregate CSVs (timestamps are isolated
+in one JSON field).
 """
 
 from __future__ import annotations
@@ -80,17 +81,9 @@ NORMS = {
     "elastic": Distortion.ELASTIC,
 }
 
-CSV_HEADER = [
-    "pair",
-    "target",
-    "success",
-    "queries_first_success",
-    "l0",
-    "l1",
-    "l2",
-    "linf",
-    "total_queries",
-]
+# A pair's summary, in the order of its JSON keys and of aggregate.csv columns.
+SUMMARY_FIELDS = ("success", "queries_first_success", "l0", "l1", "l2", "linf", "total_queries")
+CSV_HEADER = ["pair", "target", *SUMMARY_FIELDS]
 
 
 class UsageError(Exception):
@@ -101,13 +94,18 @@ class AttackFault(Exception):
     """A fault raised while a pair was attacked, as opposed to bad input."""
 
 
+def _read(what: str, path, load):
+    """load(path), with a missing or unreadable path as a usage error."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
 def _parse_config_file(path: str) -> dict:
     """Simple ``key = value`` text config; '#' starts a comment."""
     values = {}
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {path}")
-    for raw in p.read_text().splitlines():
+    for raw in _read("config file", path, lambda p: Path(p).read_text()).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -118,34 +116,25 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(value, like):
-    if isinstance(like, bool):
-        return str(value).lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return value
-
-
 def _resolve_settings(args) -> dict:
-    """Merge preset < config file < explicit flags into one settings dict."""
-    preset_name = args.preset or "mnist-like"
-    if preset_name not in PRESETS:
-        raise UsageError(f"unknown preset {preset_name!r}; choices: {sorted(PRESETS)}")
-    settings = dict(PRESETS[preset_name])
-    settings["preset"] = preset_name
+    """Merge preset < config file < explicit flags into one settings dict.
+
+    The preset's keys are the settings; each one is also an ``attack`` flag.
+    A config value is converted to the type of the preset's value.
+    """
+    settings = dict(PRESETS[args.preset])
     if args.config:
         for key, val in _parse_config_file(args.config).items():
-            if key in settings:
-                settings[key] = _coerce(val, settings[key])
-            else:
-                settings[key] = val
-    for key in (
-        "norm", "eps", "gamma", "rho", "alpha", "q", "nu",
-        "mu", "n_smooth", "kappa", "beta", "budget", "pairs",
-    ):
-        flag = getattr(args, key, None)
+            if key not in settings:
+                raise UsageError(f"unknown config key {key!r} in {args.config}; "
+                                 f"choices: {sorted(settings)}")
+            try:
+                settings[key] = type(settings[key])(val)
+            except ValueError:
+                raise UsageError(f"bad value for config key {key!r} in {args.config}: "
+                                 f"{val!r}") from None
+    for key in settings:
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
     return settings
@@ -154,10 +143,7 @@ def _resolve_settings(args) -> dict:
 def _load_dataset(name: str) -> Dataset:
     if name == "digits8x8":
         return digits8x8()
-    path = Path(name)
-    if not path.exists():
-        raise UsageError(f"data file not found: {name}")
-    return Dataset.from_csv(path)
+    return _read("data file", name, Dataset.from_csv)
 
 
 # -- train ---------------------------------------------------------------
@@ -212,37 +198,24 @@ def _find_exemplar(model, data: Dataset, target: int):
 
 
 def _report_to_dict(report: RunReport, pair: int, target: int, timestamp: str) -> dict:
+    values = (report.success, report.queries_first_success, *report.final_norms,
+              report.total_queries)
     return {
         "pair": pair,
         "target": target,
         "timestamp": timestamp,
         "config": report.config,
         "records": [asdict(r) for r in report.records],
-        "summary": {
-            "success": report.success,
-            "queries_first_success": report.queries_first_success,
-            "l0": report.final_norms[0],
-            "l1": report.final_norms[1],
-            "l2": report.final_norms[2],
-            "linf": report.final_norms[3],
-            "total_queries": report.total_queries,
-        },
+        "summary": dict(zip(SUMMARY_FIELDS, values, strict=True)),
     }
 
 
-def _csv_row(summary: dict, pair: int, target: int) -> list:
-    qfs = summary["queries_first_success"]
-    return [
-        str(pair),
-        str(target),
-        "1" if summary["success"] else "0",
-        "" if qfs is None else str(qfs),
-        str(summary["l0"]),
-        repr(float(summary["l1"])),
-        repr(float(summary["l2"])),
-        repr(float(summary["linf"])),
-        str(summary["total_queries"]),
-    ]
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(value)
 
 
 def cmd_attack(args) -> int:
@@ -253,19 +226,30 @@ def cmd_attack(args) -> int:
         raise UsageError("--pairs must be positive")
     if settings["norm"] not in NORMS:
         raise UsageError(f"unknown norm {settings['norm']!r}; choices: {sorted(NORMS)}")
+    feedback = FeedbackMode(args.feedback)
+    cfg = AdmmConfig(
+        rho=settings["rho"],
+        alpha=settings["alpha"],
+        max_queries=settings["budget"],
+        success_then_refine=not args.no_refine,
+        delta_backend=DeltaBackend(args.backend),
+    )
+    loss_cfg = LossConfig(
+        mode=feedback,
+        smoothing_mu=settings["mu"],
+        smoothing_samples=settings["n_smooth"],
+        smoothing_dist=BallDist.GAUSSIAN if args.gaussian_smoothing
+        else BallDist.UNIFORM_BALL,
+    )
+    rge_cfg = RgeConfig(q=settings["q"], nu=settings["nu"])
+    bo_cfg = BoConfig()
 
-    weights_path = Path(args.weights)
-    if not weights_path.exists():
-        raise UsageError(f"weight file not found: {args.weights}")
-    model = load_weights(weights_path)
-
+    model = _read("weight file", args.weights, load_weights)
     data = _load_dataset(args.data)
     init_data = _load_dataset(args.init_from) if args.init_from else data
 
-    feedback = FeedbackMode(args.feedback)
-    backend = DeltaBackend(args.backend)
     mode = AttackMode.UNTARGETED if args.untargeted else AttackMode.TARGETED
-    pairs = _select_pairs(model, data, int(settings["pairs"]), args.untargeted)
+    pairs = _select_pairs(model, data, settings["pairs"], args.untargeted)
     if not pairs:
         raise UsageError("no correctly classified inputs available for pairing")
 
@@ -282,28 +266,13 @@ def cmd_attack(args) -> int:
             x0=x0,
             target=target,
             num_classes=model.num_classes,
-            epsilon=float(settings["eps"]),
-            gamma=float(settings["gamma"]),
-            kappa=float(settings["kappa"]),
+            epsilon=settings["eps"],
+            gamma=settings["gamma"],
+            kappa=settings["kappa"],
             distortion=NORMS[settings["norm"]],
-            beta=float(settings["beta"]),
+            beta=settings["beta"],
             attack_mode=mode,
         )
-        cfg = AdmmConfig(
-            rho=float(settings["rho"]),
-            alpha=float(settings["alpha"]),
-            max_queries=int(settings["budget"]),
-            success_then_refine=not args.no_refine,
-            delta_backend=backend,
-        )
-        loss_cfg = LossConfig(
-            mode=feedback,
-            smoothing_mu=float(settings["mu"]),
-            smoothing_samples=int(settings["n_smooth"]),
-            smoothing_dist=BallDist.GAUSSIAN if args.gaussian_smoothing
-            else BallDist.UNIFORM_BALL,
-        )
-        rge_cfg = RgeConfig(q=int(settings["q"]), nu=float(settings["nu"]))
         oracle = ModelOracle(model, scores_available=feedback is FeedbackMode.SCORE)
         init_delta = None
         if feedback is FeedbackMode.DECISION:
@@ -317,7 +286,7 @@ def cmd_attack(args) -> int:
         try:
             report = run_attack(
                 spec, cfg, loss_cfg, oracle, root_rng.child(pair_idx),
-                rge_cfg=rge_cfg, bo_cfg=BoConfig(), init_delta=init_delta,
+                rge_cfg=rge_cfg, bo_cfg=bo_cfg, init_delta=init_delta,
             )
         except InfeasibleInitializer as exc:
             raise UsageError(str(exc))
@@ -328,7 +297,7 @@ def cmd_attack(args) -> int:
         (out_dir / f"pair_{pair_idx:04d}.json").write_text(
             json.dumps(doc, indent=1) + "\n"
         )
-        rows.append(_csv_row(doc["summary"], pair_idx, target))
+        rows.append([_csv_cell(v) for v in (pair_idx, target, *doc["summary"].values())])
         if report.success:
             n_success += 1
 
@@ -347,25 +316,12 @@ def cmd_attack(args) -> int:
 
 def summarize_reports(docs: list[dict]) -> dict:
     """Batch summary; failures are excluded from the distortion means."""
-    n = len(docs)
-    successes = [d["summary"] for d in docs if d["summary"]["success"]]
-    out = {
-        "runs": n,
-        "asr": len(successes) / n if n else 0.0,
-        "mean_queries_first_success": None,
-        "mean_l0": None,
-        "mean_l1": None,
-        "mean_l2": None,
-        "mean_linf": None,
-        "mean_total_queries": float(np.mean([d["summary"]["total_queries"] for d in docs]))
-        if n else 0.0,
-    }
-    if successes:
-        out["mean_queries_first_success"] = float(
-            np.mean([s["queries_first_success"] for s in successes])
-        )
-        for key in ("l0", "l1", "l2", "linf"):
-            out[f"mean_{key}"] = float(np.mean([s[key] for s in successes]))
+    summaries = [d["summary"] for d in docs]
+    successes = [s for s in summaries if s["success"]]
+    out = {"runs": len(docs), "asr": len(successes) / len(docs) if docs else 0.0}
+    for key in SUMMARY_FIELDS[1:]:
+        over = summaries if key == "total_queries" else successes
+        out[f"mean_{key}"] = float(np.mean([s[key] for s in over])) if over else None
     return out
 
 
@@ -388,18 +344,8 @@ def cmd_report(args) -> int:
         return "-" if v is None else (f"{v:.6g}" if isinstance(v, float) else str(v))
 
     print("# distortion means computed over successful runs only")
-    cols = [
-        ("runs", summary["runs"]),
-        ("asr", summary["asr"]),
-        ("mean_queries_first_success", summary["mean_queries_first_success"]),
-        ("mean_l0", summary["mean_l0"]),
-        ("mean_l1", summary["mean_l1"]),
-        ("mean_l2", summary["mean_l2"]),
-        ("mean_linf", summary["mean_linf"]),
-        ("mean_total_queries", summary["mean_total_queries"]),
-    ]
-    print("\t".join(name for name, _ in cols))
-    print("\t".join(fmt(val) for _, val in cols))
+    print("\t".join(summary))
+    print("\t".join(fmt(val) for val in summary.values()))
     return EXIT_OK
 
 
@@ -407,10 +353,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    weights_path = Path(args.weights)
-    if not weights_path.exists():
-        raise UsageError(f"weight file not found: {args.weights}")
-    model = load_weights(weights_path)
+    model = _read("weight file", args.weights, load_weights)
     serve_oracle(model, mode=args.mode)
     return EXIT_OK
 
@@ -464,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--init-from",
                           help="dataset supplying decision-mode target exemplars")
     p_attack.add_argument("--config", help="key = value config file")
-    p_attack.add_argument("--preset", choices=tuple(PRESETS))
+    p_attack.add_argument("--preset", choices=tuple(PRESETS), default="mnist-like")
     p_attack.set_defaults(func=cmd_attack)
 
     p_report = sub.add_parser("report", help="summarize attack reports")

@@ -9,7 +9,7 @@ log-space (the printed NLML drops the constant (n/2) log 2pi term, which
 does not affect optimization). Prior mean is fixed at zero.
 
 For dimensions above ISOTROPIC_DIM_CUTOFF a single shared lengthscale is
-fitted by default: with the handful of observations collected per step,
+fitted: with the handful of observations collected per step,
 d separate lengthscales are not identifiable.
 """
 
@@ -88,13 +88,12 @@ class GpFactorizationError(RuntimeError):
 class GpModel:
     """Observation set plus hyperparameters with a cached factorization."""
 
-    def __init__(self, dim: int, hyper: GpHyper | None = None, isotropic: bool | None = None):
+    def __init__(self, dim: int, hyper: GpHyper | None = None):
+        """``hyper`` defaults to unit amplitude and lengthscales: one shared
+        lengthscale above ISOTROPIC_DIM_CUTOFF dimensions, else one each."""
         self.dim = int(dim)
-        if isotropic is None:
-            isotropic = dim > ISOTROPIC_DIM_CUTOFF
-        self.isotropic = bool(isotropic)
         if hyper is None:
-            n_ls = 1 if self.isotropic else dim
+            n_ls = 1 if dim > ISOTROPIC_DIM_CUTOFF else dim
             hyper = GpHyper(theta0=1.0, lengthscales=np.ones(n_ls), noise_var=1e-6)
         self.hyper = hyper
         self._X = np.zeros((0, dim))

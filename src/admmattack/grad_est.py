@@ -6,7 +6,6 @@ so each call costs exactly Q + 1 loss evaluations, made in one loss call.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -15,16 +14,10 @@ import numpy as np
 from .core import RngStream, as_vector
 
 
-class DirectionDist(enum.Enum):
-    UNIT_SPHERE = "sphere"
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class RgeConfig:
     q: int = 20
     nu: float = 0.5
-    direction_dist: DirectionDist = DirectionDist.UNIT_SPHERE
 
     def __post_init__(self):
         if self.q < 1:
@@ -38,14 +31,13 @@ def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
 
     ``loss`` maps an (n, d) stack of perturbations to n values. The base
     point and the Q perturbed points go to it in one call of Q + 1 rows,
-    base first. The directions u_j come from one (Q, d) standard normal
-    draw; on the unit sphere each row is divided by its norm.
+    base first. The directions u_j lie on the unit sphere: one (Q, d)
+    standard normal draw, each row divided by its norm.
     """
     delta = as_vector(delta)
     d = delta.shape[0]
     u = rng.standard_normal((cfg.q, d))
-    if cfg.direction_dist is DirectionDist.UNIT_SPHERE:
-        u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])  # row norms, bitwise equal to np.linalg.norm
+    u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])  # row norms, bitwise equal to np.linalg.norm
     values = np.asarray(loss(np.vstack([delta, delta + cfg.nu * u])), dtype=np.float64)
     base = float(values[0])
     if not math.isfinite(base):

@@ -204,7 +204,7 @@ def test_criterion_4_gp_correctness():
         h = GpHyper(theta0=float(rng.uniform(0.5, 2.0)),
                     lengthscales=rng.uniform(0.5, 2.0, 2),
                     noise_var=float(rng.uniform(1e-3, 0.2)))
-        model = GpModel(2, hyper=h, isotropic=False)
+        model = GpModel(2, hyper=h)
         model.set_data(X, y)
         g = model.nlml_grad()
         p0 = model._log_params()
@@ -213,9 +213,9 @@ def test_criterion_4_gp_correctness():
             pp, pm = p0.copy(), p0.copy()
             pp[i] += step
             pm[i] -= step
-            up = GpModel(2, hyper=model._hyper_from_log(pp), isotropic=False)
+            up = GpModel(2, hyper=model._hyper_from_log(pp))
             up.set_data(X, y)
-            dn = GpModel(2, hyper=model._hyper_from_log(pm), isotropic=False)
+            dn = GpModel(2, hyper=model._hyper_from_log(pm))
             dn.set_data(X, y)
             fd = (up.nlml() - dn.nlml()) / (2 * step)
             if abs(g[i] - fd) > 1e-4 * max(abs(fd), 1e-3):

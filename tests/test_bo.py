@@ -107,8 +107,7 @@ class TestBatchedEiGradient:
         X = rng.uniform(-1, 1, (14, d))
         y = np.sin(2 * X[:, 0]) + 0.5 * X[:, -1]
         ls = np.full(1 if isotropic else d, 0.8)
-        model = GpModel(d, hyper=GpHyper(theta0=1.0, lengthscales=ls, noise_var=1e-4),
-                        isotropic=isotropic)
+        model = GpModel(d, hyper=GpHyper(theta0=1.0, lengthscales=ls, noise_var=1e-4))
         model.set_data(X, y)
         l_plus = float(np.min(y))
         Q = rng.uniform(-1, 1, (7, d))

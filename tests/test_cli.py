@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import admmattack.cli as cli
+from admmattack.admm import RunReport
 from admmattack.cli import (
     CSV_HEADER,
     EXIT_NO_SUCCESS,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    PRESETS,
+    build_parser,
     main,
     summarize_reports,
 )
@@ -126,6 +129,88 @@ class TestAttack:
         code = main(["attack", "--weights", str(trained_weights),
                      "--out", str(tmp_path / "r"), "--config", str(cfg)])
         assert code == EXIT_USAGE
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, trained_weights, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("budgt = 100\nq = 3\n")
+        out = tmp_path / "r"
+        code = main(["attack", "--weights", str(trained_weights),
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "'budgt'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, trained_weights,
+                                                       capsys):
+        cfg = tmp_path / "float_q.cfg"
+        cfg.write_text("q = 2.5\n")
+        out = tmp_path / "r"
+        code = main(["attack", "--weights", str(trained_weights),
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "'q'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_take_the_preset_types(self, tmp_path):
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text("q = 3\neps = 2\nnorm = l1\nn-smooth = 4\n")
+        args = build_parser().parse_args(["attack", "--weights", "w", "--config", str(cfg)])
+        settings = cli._resolve_settings(args)
+        assert settings == {**PRESETS["mnist-like"], "q": 3, "eps": 2.0, "norm": "l1",
+                            "n_smooth": 4}
+        assert [type(v) for v in settings.values()] == [
+            type(v) for v in PRESETS["mnist-like"].values()
+        ]
+
+    def test_presets_share_keys_and_each_key_is_an_attack_flag(self):
+        keys = [set(p) for p in PRESETS.values()]
+        assert all(k == keys[0] for k in keys)
+        args = build_parser().parse_args(["attack", "--weights", "w"])
+        assert args.preset == "mnist-like"
+        assert all(getattr(args, key) is None for key in keys[0])
+
+    def test_synthetic_1d_preset_resolves_to_its_own_values(self):
+        parse = build_parser().parse_args
+        args = parse(["attack", "--weights", "w", "--preset", "synthetic-1d"])
+        assert cli._resolve_settings(args) == PRESETS["synthetic-1d"]
+        args = parse(["attack", "--weights", "w", "--preset", "synthetic-1d", "--q", "7"])
+        assert cli._resolve_settings(args) == {**PRESETS["synthetic-1d"], "q": 7}
+
+    def test_csv_row_text_of_handmade_reports(self, tmp_path, trained_weights, monkeypatch):
+        made = [
+            RunReport(config={}, success=True, queries_first_success=None,
+                      final_norms=(7, 0.5, 0.1 + 0.2, 0.25), total_queries=42),
+            RunReport(config={}, success=False, queries_first_success=12,
+                      final_norms=(0, 0.0, 1e-20, 3.0), total_queries=3000),
+        ]
+        targets = []
+
+        def fake_run_attack(spec, *args, **kwargs):
+            targets.append(spec.target)
+            return made[len(targets) - 1]
+
+        monkeypatch.setattr(cli, "run_attack", fake_run_attack)
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, "--pairs", "2") == EXIT_OK
+        assert (out / "aggregate.csv").read_bytes().decode() == (
+            "pair,target,success,queries_first_success,l0,l1,l2,linf,total_queries\r\n"
+            f"0,{targets[0]},1,,7,0.5,0.30000000000000004,0.25,42\r\n"
+            f"1,{targets[1]},0,12,0,0.0,1e-20,3.0,3000\r\n"
+        )
+
+    @pytest.mark.parametrize("case", ["attack-config", "attack-weights", "attack-data",
+                                      "serve-weights"])
+    def test_directory_path_is_usage_error(self, tmp_path, trained_weights, capsys, case):
+        folder = tmp_path / "a_directory"
+        folder.mkdir()
+        command, flag = case.split("-")
+        args = {
+            "attack": ["attack", "--weights", str(trained_weights), "--out", str(tmp_path / "r")],
+            "serve": ["serve", "--weights", str(trained_weights)],
+        }[command]
+        assert main(args + [f"--{flag}", str(folder)]) == EXIT_USAGE
+        assert str(folder) in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_weights_is_usage_error(self, tmp_path):
         code = main(["attack", "--weights", str(tmp_path / "nope"),

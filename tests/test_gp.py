@@ -163,7 +163,7 @@ class TestNlml:
             h = GpHyper(theta0=float(rng.uniform(0.5, 2.0)),
                         lengthscales=rng.uniform(0.5, 2.0, d),
                         noise_var=float(rng.uniform(1e-3, 0.2)))
-            model = GpModel(d, hyper=h, isotropic=False)
+            model = GpModel(d, hyper=h)
             model.set_data(X, y)
             g = model.nlml_grad()
             p0 = model._log_params()
@@ -171,9 +171,9 @@ class TestNlml:
             for i in range(len(p0)):
                 pp = p0.copy(); pp[i] += step
                 pm = p0.copy(); pm[i] -= step
-                mp = GpModel(d, hyper=model._hyper_from_log(pp), isotropic=False)
+                mp = GpModel(d, hyper=model._hyper_from_log(pp))
                 mp.set_data(X, y)
-                mm = GpModel(d, hyper=model._hyper_from_log(pm), isotropic=False)
+                mm = GpModel(d, hyper=model._hyper_from_log(pm))
                 mm.set_data(X, y)
                 fd = (mp.nlml() - mm.nlml()) / (2 * step)
                 assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
@@ -183,7 +183,7 @@ class TestNlml:
         X = rng.standard_normal((8, 3))
         y = rng.standard_normal(8)
         model = GpModel(3, hyper=GpHyper(theta0=1.1, lengthscales=np.array([0.9]),
-                                         noise_var=0.05), isotropic=True)
+                                         noise_var=0.05))
         model.set_data(X, y)
         g = model.nlml_grad()
         p0 = model._log_params()
@@ -191,9 +191,9 @@ class TestNlml:
         for i in range(len(p0)):
             pp = p0.copy(); pp[i] += step
             pm = p0.copy(); pm[i] -= step
-            mp = GpModel(3, hyper=model._hyper_from_log(pp), isotropic=True)
+            mp = GpModel(3, hyper=model._hyper_from_log(pp))
             mp.set_data(X, y)
-            mm = GpModel(3, hyper=model._hyper_from_log(pm), isotropic=True)
+            mm = GpModel(3, hyper=model._hyper_from_log(pm))
             mm.set_data(X, y)
             fd = (mp.nlml() - mm.nlml()) / (2 * step)
             assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
@@ -268,8 +268,8 @@ class TestFitHypers:
 
 
 def test_isotropic_default_for_high_dim():
-    assert GpModel(64).isotropic
-    assert not GpModel(4).isotropic
+    assert GpModel(64).hyper.lengthscales.shape == (1,)
+    assert GpModel(4).hyper.lengthscales.shape == (4,)
 
 
 class TestBatchedPosterior:
@@ -278,8 +278,7 @@ class TestBatchedPosterior:
         X = rng.uniform(-1, 1, (n, d))
         y = np.sin(2 * X[:, 0]) + X[:, -1] ** 2
         ls = rng.uniform(0.5, 2.0, 1 if isotropic else d)
-        model = GpModel(d, hyper=GpHyper(theta0=1.3, lengthscales=ls, noise_var=1e-4),
-                        isotropic=isotropic)
+        model = GpModel(d, hyper=GpHyper(theta0=1.3, lengthscales=ls, noise_var=1e-4))
         model.set_data(X, y)
         return model, rng.uniform(-1.2, 1.2, (6, d))
 
@@ -325,7 +324,8 @@ class TestFitWithoutThrowawayModels:
         y = np.cos(3 * X[:, 0]) + 0.05 * rng.standard_normal(25)
         values = []
         for steps in range(12):
-            model = GpModel(d, isotropic=isotropic)
+            model = GpModel(d)
+            assert model.hyper.lengthscales.shape == ((1,) if isotropic else (d,))
             model.set_data(X, y)
             model.fit_hypers(steps=steps, learning_rate=0.3)
             values.append(model.nlml())
