@@ -30,7 +30,6 @@ from .core import (
 from .gp import GpHyper, GpModel
 from .grad_est import RgeConfig, rge_with_base
 from .losses import (
-    BallDist,
     FeedbackMode,
     LossConfig,
     ModelOracle,
@@ -56,7 +55,6 @@ __all__ = [
     "AdmmConfig",
     "AttackMode",
     "AttackState",
-    "BallDist",
     "BoConfig",
     "BoDeltaSolver",
     "Dataset",

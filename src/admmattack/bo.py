@@ -52,14 +52,16 @@ def _norm_cdf(z):
     return 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=np.float64)
 
 
-def expected_improvement(mu: float, sigma: float, l_plus: float) -> float:
-    """Closed-form EI for minimization; max(l_plus - mu, 0) when sigma = 0."""
-    if sigma < 0:
+def expected_improvement(mu, sigma, l_plus: float):
+    """Closed-form EI for minimization, element-wise; max(l_plus - mu, 0) where sigma = 0."""
+    mu, sigma = np.asarray(mu, dtype=np.float64), np.asarray(sigma, dtype=np.float64)
+    if np.any(sigma < 0):
         raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return max(l_plus - mu, 0.0)
-    z = (l_plus - mu) / sigma
-    return float((l_plus - mu) * _norm_cdf(z) + sigma * _norm_pdf(z))
+    gap = l_plus - mu
+    flat = sigma == 0.0
+    z = gap / np.where(flat, 1.0, sigma)
+    ei = np.where(flat, np.where(0.0 > gap, 0.0, gap), gap * _norm_cdf(z) + sigma * _norm_pdf(z))
+    return float(ei) if ei.ndim == 0 else ei
 
 
 def ei_gradient(model: GpModel, x: np.ndarray, l_plus: float):
@@ -128,7 +130,7 @@ class BoDeltaSolver:
         The incumbent and ei_restarts - 1 random draws start; all step
         together, one batched EI gradient per step, and a start stops where
         its posterior variance is degenerate. The first start with the
-        strictly largest final EI wins.
+        strictly largest final EI wins; a NaN EI counts as -1.
         """
         cfg = self.cfg
         lo, hi = self.lo, self.hi
@@ -141,12 +143,11 @@ class BoDeltaSolver:
             if active.size == 0:
                 break
             x[active] = np.clip(x[active] + cfg.ei_learning_rate * g, lo, hi)
-        best_x, best_ei = None, -1.0
-        for xr, mu, var in zip(x, *model.posterior(x)):
-            ei = expected_improvement(mu, math.sqrt(var), l_plus)
-            if ei > best_ei:
-                best_ei, best_x = ei, xr
-        return best_x, best_ei
+        mu, var = model.posterior(x)
+        ei = expected_improvement(mu, np.sqrt(var), l_plus)
+        ei[np.isnan(ei)] = -1.0
+        best = int(np.argmax(ei))
+        return x[best], float(ei[best])
 
     def step(self, b: np.ndarray, rho: float, f_loss, rng: RngStream) -> np.ndarray:
         """One BO delta-step; returns the best-observed feasible delta.
@@ -169,7 +170,7 @@ class BoDeltaSolver:
                 except GpFactorizationError:
                     pass
             cand, ei = self._maximize_ei(model, float(np.min(model.targets)), rng)
-            if ei <= 0.0:  # also when no start had a finite EI (cand is None)
+            if ei <= 0.0:  # also when no start had a finite EI
                 cand = self._sample(1, rng)[0]
             self._query(cand[None, :], f_loss)
         return self._X[int(np.argmin(self._targets(b, rho)))].copy()

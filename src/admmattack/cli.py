@@ -23,7 +23,7 @@ from .admm import AdmmConfig, DeltaBackend, InfeasibleInitializer, RunReport, ru
 from .bo import BoConfig
 from .core import AttackMode, Distortion, ProblemSpec, RngStream
 from .grad_est import RgeConfig
-from .losses import BallDist, FeedbackMode, LossConfig, ModelOracle, serve_oracle
+from .losses import FeedbackMode, LossConfig, ModelOracle, serve_oracle
 from .victim import (
     Dataset,
     MlpModel,
@@ -94,18 +94,20 @@ class AttackFault(Exception):
     """A fault raised while a pair was attacked, as opposed to bad input."""
 
 
-def _read(what: str, path, load):
-    """load(path), with a missing or unreadable path as a usage error."""
+def _on_path(verb: str, what: str, path, op):
+    """op(path), with an OSError (missing, unreadable or unwritable path) as a
+    usage error that names the path."""
     try:
-        return load(path)
+        return op(path)
     except OSError as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot {verb} {what} {path}: {exc.strerror or exc}") from None
 
 
 def _parse_config_file(path: str) -> dict:
     """Simple ``key = value`` text config; '#' starts a comment."""
     values = {}
-    for raw in _read("config file", path, lambda p: Path(p).read_text()).splitlines():
+    text = _on_path("read", "config file", path, lambda p: Path(p).read_text())
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -143,7 +145,7 @@ def _resolve_settings(args) -> dict:
 def _load_dataset(name: str) -> Dataset:
     if name == "digits8x8":
         return digits8x8()
-    return _read("data file", name, Dataset.from_csv)
+    return _on_path("read", "data file", name, Dataset.from_csv)
 
 
 # -- train ---------------------------------------------------------------
@@ -158,7 +160,7 @@ def cmd_train(args) -> int:
     else:
         model = MlpModel.init(data.dim, k, args.hidden, rng.child(0))
     model = train(model, data, epochs=args.epochs, lr=args.lr, rng=rng.child(1))
-    save_weights(model, args.out)
+    _on_path("write", "weight file", args.out, lambda p: save_weights(model, p))
     print(f"saved {args.model} weights to {args.out} "
           f"(train accuracy {accuracy(model, data):.3f})")
     return EXIT_OK
@@ -238,13 +240,11 @@ def cmd_attack(args) -> int:
         mode=feedback,
         smoothing_mu=settings["mu"],
         smoothing_samples=settings["n_smooth"],
-        smoothing_dist=BallDist.GAUSSIAN if args.gaussian_smoothing
-        else BallDist.UNIFORM_BALL,
     )
     rge_cfg = RgeConfig(q=settings["q"], nu=settings["nu"])
     bo_cfg = BoConfig()
 
-    model = _read("weight file", args.weights, load_weights)
+    model = _on_path("read", "weight file", args.weights, load_weights)
     data = _load_dataset(args.data)
     init_data = _load_dataset(args.init_from) if args.init_from else data
 
@@ -254,7 +254,8 @@ def cmd_attack(args) -> int:
         raise UsageError("no correctly classified inputs available for pairing")
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _on_path("create", "output directory", out_dir,
+             lambda p: p.mkdir(parents=True, exist_ok=True))
     root_rng = RngStream(args.seed)
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
 
@@ -353,7 +354,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    model = _read("weight file", args.weights, load_weights)
+    model = _on_path("read", "weight file", args.weights, load_weights)
     serve_oracle(model, mode=args.mode)
     return EXIT_OK
 
@@ -402,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--untargeted", action="store_true")
     p_attack.add_argument("--no-refine", action="store_true",
                           help="stop at first success instead of refining")
-    p_attack.add_argument("--gaussian-smoothing", action="store_true",
-                          help="Gaussian instead of uniform-ball smoothing noise")
     p_attack.add_argument("--init-from",
                           help="dataset supplying decision-mode target exemplars")
     p_attack.add_argument("--config", help="key = value config file")

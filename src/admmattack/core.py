@@ -114,20 +114,21 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self.gen.permutation(n)
 
-    def unit_sphere(self, d: int) -> np.ndarray:
-        """Uniform draw on the unit sphere (normalized Gaussian)."""
-        g = self.gen.standard_normal(d)
-        n = np.linalg.norm(g)
-        while n == 0.0:  # pragma: no cover - probability zero
-            g = self.gen.standard_normal(d)
-            n = np.linalg.norm(g)
-        return g / n
+    def unit_ball(self, n: int, d: int) -> np.ndarray:
+        """n uniform draws inside the unit Euclidean ball, as an (n, d) stack.
 
-    def unit_ball(self, d: int) -> np.ndarray:
-        """Uniform draw inside the unit Euclidean ball."""
-        direction = self.unit_sphere(d)
-        radius = self.gen.uniform() ** (1.0 / d)
-        return direction * radius
+        Per row, a standard_normal(d) direction and then one uniform() for
+        its radius; all rows are scaled to unit norm after the draws.
+        """
+        g = np.empty((n, d))
+        r = np.empty(n)
+        for i in range(n):
+            self.gen.standard_normal(out=g[i])
+            r[i] = self.gen.uniform() ** (1.0 / d)  # a Python float power
+        norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0])
+        if not np.all(norms):
+            raise ValueError("a unit-ball direction drew an all-zero normal vector")
+        return g / norms * r[:, None]
 
 
 def feasible_bounds(x0: np.ndarray, epsilon: float):

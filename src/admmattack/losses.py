@@ -25,17 +25,11 @@ class FeedbackMode(enum.Enum):
     DECISION = "decision"
 
 
-class BallDist(enum.Enum):
-    UNIFORM_BALL = "ball"
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class LossConfig:
     mode: FeedbackMode = FeedbackMode.SCORE
     smoothing_mu: float = 1.0
     smoothing_samples: int = 10
-    smoothing_dist: BallDist = BallDist.UNIFORM_BALL
 
     def __post_init__(self):
         if self.mode is FeedbackMode.DECISION:
@@ -116,18 +110,6 @@ class ModelOracle(QueryOracle):
         if not self._scores_available:
             raise OracleCapabilityError("oracle configured as label-only")
         return self._predict(x)
-
-
-class FunctionOracle(QueryOracle):
-    """Adapts a per-point scores function, applied row by row; handy for
-    synthetic victims."""
-
-    def __init__(self, scores_fn):
-        super().__init__()
-        self.scores_fn = scores_fn
-
-    def _predict(self, x):
-        return _rowwise(self.scores_fn, x).astype(np.float64)
 
 
 class ProcessOracle(QueryOracle):
@@ -229,12 +211,6 @@ def decision_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec):
     return _per_point(np.where(_goal_met(oracle.query_label(x), spec), -1.0, 1.0))
 
 
-def _smoothing_direction(cfg: LossConfig, rng: RngStream, d: int) -> np.ndarray:
-    if cfg.smoothing_dist is BallDist.UNIFORM_BALL:
-        return rng.unit_ball(d)
-    return rng.standard_normal(d)
-
-
 def smoothed_decision_loss(
     oracle: QueryOracle,
     x: np.ndarray,
@@ -244,10 +220,11 @@ def smoothed_decision_loss(
 ):
     """Monte Carlo smoothing of the decision loss; N label queries per point.
 
-    The N samples of every point go to the oracle in one call. Directions
-    are drawn one sample at a time, point by point. Perturbed query points
-    are clamped to [0,1]^d before querying so real oracles never see
-    out-of-range pixels. A float for one point, an (n,) array for a stack.
+    The directions are uniform in the unit ball, scaled by mu: one (n*N, d)
+    stack from ``rng.unit_ball``, the N samples of the first point first.
+    All of them go to the oracle in one call, clamped to [0,1]^d so real
+    oracles never see out-of-range pixels. A float for one point, an (n,)
+    array for a stack.
     """
     if cfg.smoothing_samples < 1:
         raise ValueError("need at least one smoothing sample")
@@ -257,7 +234,7 @@ def smoothed_decision_loss(
     points = np.atleast_2d(x)
     n, d = points.shape
     samples = cfg.smoothing_samples
-    u = np.array([_smoothing_direction(cfg, rng, d) for _ in range(n * samples)])
+    u = rng.unit_ball(n * samples, d)
     xq = np.clip(np.repeat(points, samples, axis=0) + cfg.smoothing_mu * u, 0.0, 1.0)
     losses = decision_loss(oracle, xq, spec).reshape(n, samples)
     means = np.sum(losses, axis=1) / samples

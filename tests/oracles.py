@@ -1,0 +1,17 @@
+"""Test-only oracles for synthetic victims."""
+
+import numpy as np
+
+from admmattack.losses import QueryOracle
+
+
+class FunctionOracle(QueryOracle):
+    """Adapts a per-point scores function, applied row by row."""
+
+    def __init__(self, scores_fn):
+        super().__init__()
+        self.scores_fn = scores_fn
+
+    def _predict(self, x):
+        scores = self.scores_fn(x) if x.ndim == 1 else [self.scores_fn(row) for row in x]
+        return np.asarray(scores, dtype=np.float64)

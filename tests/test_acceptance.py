@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import FunctionOracle
 from test_gp import naive_nlml, naive_posterior
 from test_prox import coordinate_objective, grid_minimizer
 
@@ -36,7 +37,6 @@ from admmattack.gp import GpHyper, GpModel
 from admmattack.grad_est import RgeConfig, rge_with_base
 from admmattack.losses import (
     FeedbackMode,
-    FunctionOracle,
     LossConfig,
     ModelOracle,
     score_loss,

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import FunctionOracle
+
 from admmattack.admm import (
     AdmmConfig,
     AttackState,
@@ -22,7 +24,7 @@ from admmattack.core import (
     project_box_linf,
 )
 from admmattack.grad_est import RgeConfig
-from admmattack.losses import FeedbackMode, FunctionOracle, LossConfig, ModelOracle
+from admmattack.losses import FeedbackMode, LossConfig, ModelOracle
 from admmattack.victim import SoftmaxModel
 
 

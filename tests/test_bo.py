@@ -12,6 +12,8 @@ import admmattack
 from admmattack.bo import (
     BoConfig,
     BoDeltaSolver,
+    _norm_cdf,
+    _norm_pdf,
     ei_gradient,
     expected_improvement,
 )
@@ -57,6 +59,18 @@ class TestExpectedImprovement:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             expected_improvement(0.0, -1.0, 0.0)
+        with pytest.raises(ValueError):
+            expected_improvement(np.zeros(3), np.array([1.0, -1.0, 0.0]), 0.0)
+
+    def test_elementwise_equals_scalar_reference(self):
+        rng = RngStream(3)
+        for _ in range(200):
+            mu = rng.standard_normal(100)
+            sigma = np.abs(rng.standard_normal(100)) * rng.integers(0, 2, 100)
+            l_plus = float(rng.standard_normal())
+            ei = expected_improvement(mu, sigma, l_plus)
+            ref = [scalar_ei(m, s, l_plus) for m, s in zip(mu, sigma)]
+            assert ei.tobytes() == np.array(ref).tobytes()
 
 
 class TestEiGradient:
@@ -132,11 +146,29 @@ class TestBatchedEiGradient:
         assert np.all(g[~degenerate] != 0.0)
 
 
+def scalar_ei(mu, sigma, l_plus):
+    """EI at one point, from the package's normal pdf and cdf."""
+    if sigma == 0.0:
+        return max(l_plus - mu, 0.0)
+    z = (l_plus - mu) / sigma
+    return float((l_plus - mu) * _norm_cdf(z) + sigma * _norm_pdf(z))
+
+
+def reference_pick(xs, mu, var, l_plus):
+    """The first start with the strictly largest EI; NaN never wins."""
+    best_x, best_ei = None, -1.0
+    for x, m, v in zip(xs, mu, var):
+        ei = scalar_ei(m, math.sqrt(v), l_plus)
+        if ei > best_ei:
+            best_ei, best_x = ei, x
+    return best_x, best_ei
+
+
 def reference_maximize_ei(solver, model, l_plus, rng):
     """The per-start EI ascent: each start walks alone and stops at its
     first degenerate point; the first strict maximum of the final EI wins."""
     cfg = solver.cfg
-    best_x, best_ei = None, -1.0
+    ends = []
     starts = [solver._X[int(np.argmin(model.targets))]]
     starts.extend(solver._sample(cfg.ei_restarts - 1, rng))
     for x in starts:
@@ -146,11 +178,9 @@ def reference_maximize_ei(solver, model, l_plus, rng):
             if degenerate:
                 break
             x = project_box_linf(solver.x0, x + cfg.ei_learning_rate * g, solver.epsilon)
-        mu, var = model.posterior(x)
-        ei = expected_improvement(mu, math.sqrt(var), l_plus)
-        if ei > best_ei:
-            best_ei, best_x = ei, x
-    return best_x, best_ei
+        ends.append(x)
+    mu, var = np.array([model.posterior(x) for x in ends]).T
+    return reference_pick(ends, mu, var, l_plus)
 
 
 class FreezeBelow:
@@ -206,6 +236,60 @@ class TestBatchedMaximizeEi:
         assert len(rows) == solver.cfg.ei_steps
         assert rows[0] == 5 and rows[-1] >= 1
         assert any(rows[i] < rows[i - 1] for i in range(3, len(rows)))
+
+
+class FixedPosterior:
+    """A GP stand-in whose EI ascent stops at once (zero variance in the
+    gradient call) and whose final posterior is given, start by start."""
+
+    def __init__(self, targets, mu, var):
+        self.targets, self.mu, self.var = targets, mu, var
+
+    def posterior_with_grad(self, x):
+        return np.zeros(len(x)), np.zeros(len(x)), np.zeros_like(x), np.zeros_like(x)
+
+    def posterior(self, x):
+        return self.mu, self.var
+
+
+class TestEiPick:
+    def solver(self, restarts):
+        solver = BoDeltaSolver(np.full(3, 0.5), 0.5, BoConfig(ei_restarts=restarts))
+        solver._query(RngStream(70).uniform(-0.5, 0.5, (4, 3)),
+                      lambda X: np.sum(X ** 2, axis=1))
+        return solver
+
+    def picks(self, solver, mu, var, l_plus, seed):
+        model = FixedPosterior(solver._f, mu, var)
+        got = solver._maximize_ei(model, l_plus, RngStream(seed))
+        starts = np.vstack([solver._X[int(np.argmin(solver._f))],
+                            solver._sample(len(mu) - 1, RngStream(seed))])
+        starts = np.clip(starts, solver.lo, solver.hi)
+        return got, reference_pick(starts, mu, var, l_plus)
+
+    def test_pick_equals_scalar_reference(self):
+        solver = self.solver(6)
+        rng = RngStream(71)
+        for trial in range(300):
+            mu = rng.standard_normal(6)
+            var = np.abs(rng.standard_normal(6)) * rng.integers(0, 2, 6)
+            var[int(rng.integers(0, 6))] = np.nan  # one start with no finite EI
+            if trial % 3 == 0:
+                mu[2], var[2] = mu[4], var[4]  # a tie: the first start wins
+            got, want = self.picks(solver, mu, var, float(rng.standard_normal()), trial)
+            assert want[0] is not None
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+
+    def test_all_nan_starts_fall_back(self):
+        solver = self.solver(4)
+        nan = np.full(4, np.nan)
+        got, want = self.picks(solver, nan, nan, 0.0, 5)
+        assert want == (None, -1.0)
+        # no winner: the step draws its random fallback since EI <= 0
+        assert got[1] == -1.0
+        np.testing.assert_array_equal(got[0], np.clip(solver._X[int(np.argmin(solver._f))],
+                                                      solver.lo, solver.hi))
 
 
 class TestBoDeltaSolver:

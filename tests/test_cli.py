@@ -330,3 +330,23 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("case", ["attack-out-is-a-file", "train-out-is-a-directory",
+                                      "train-out-in-a-missing-directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, trained_weights, capsys,
+                                           monkeypatch, case):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        a_directory = tmp_path / "a_directory"
+        a_directory.mkdir()
+        args, out = {
+            "attack-out-is-a-file": (["attack", "--weights", str(trained_weights)], a_file),
+            "train-out-is-a-directory": (["train", "--epochs", "1"], a_directory),
+            "train-out-in-a-missing-directory": (["train", "--epochs", "1"],
+                                                 tmp_path / "missing" / "v.w"),
+        }[case]
+        pairs_run = []
+        monkeypatch.setattr(cli, "run_attack", lambda *a, **k: pairs_run.append(a))
+        assert main(args + ["--out", str(out)]) == EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+        assert pairs_run == []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from test_grad_est import unit_sphere
+
 from admmattack.core import (
     Distortion,
     ProblemSpec,
@@ -110,15 +112,39 @@ class TestRngStream:
         np.testing.assert_array_equal(c2_first, c2_again)
         assert not np.allclose(c1, c2_first)
 
-    def test_unit_sphere_norm(self):
-        rng = RngStream(9)
-        for _ in range(50):
-            u = rng.unit_sphere(12)
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-
     def test_unit_ball_inside(self):
-        rng = RngStream(10)
-        assert all(np.linalg.norm(rng.unit_ball(6)) <= 1.0 for _ in range(200))
+        u = RngStream(10).unit_ball(200, 6)
+        assert u.shape == (200, 6)
+        assert np.all(np.linalg.norm(u, axis=1) <= 1.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 64, 65, 784])
+    def test_unit_ball_stack_equals_per_sample_draws(self, d):
+        for seed in range(20):
+            stacked, looped = RngStream(seed), RngStream(seed)
+            u = stacked.unit_ball(210, d)
+            ref = np.array([reference_unit_ball(looped, d) for _ in range(210)])
+            assert u.tobytes() == ref.tobytes()
+            assert stacked.gen.bit_generator.state == looped.gen.bit_generator.state
+
+    def test_unit_ball_all_zero_normal_row_raises(self):
+        class ZeroNormals:
+            def standard_normal(self, out):
+                out[...] = 0.0
+
+            def uniform(self):
+                return 0.5
+
+        rng = RngStream(0)
+        rng.gen = ZeroNormals()
+        with pytest.raises(ValueError):
+            rng.unit_ball(3, 1)
+
+
+def reference_unit_ball(rng, d):
+    """One draw at a time: a unit-sphere direction, then a uniform() radius."""
+    direction = unit_sphere(rng, d)
+    radius = rng.uniform() ** (1.0 / d)
+    return direction * radius
 
 
 class TestProblemSpec:

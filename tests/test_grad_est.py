@@ -75,13 +75,23 @@ def test_non_finite_loss_raises():
         rge_with_base(loss, np.zeros(2), RgeConfig(q=2, nu=0.1), RngStream(6))
 
 
+def unit_sphere(rng, d):
+    """One standard_normal(d) draw scaled to unit norm, redrawn while zero."""
+    g = rng.standard_normal(d)
+    n = np.linalg.norm(g)
+    while n == 0.0:  # pragma: no cover - probability zero
+        g = rng.standard_normal(d)
+        n = np.linalg.norm(g)
+    return g / n
+
+
 def reference_rge(loss, delta, cfg, rng):
     """One direction and one loss evaluation at a time, accumulated in order."""
     d = delta.shape[0]
     base = float(loss(delta[None, :])[0])
     acc = np.zeros(d)
     for _ in range(cfg.q):
-        u = rng.unit_sphere(d)
+        u = unit_sphere(rng, d)
         fv = float(loss((delta + cfg.nu * u)[None, :])[0])
         acc += (fv - base) * u
     return (d / (cfg.nu * cfg.q)) * acc, base
