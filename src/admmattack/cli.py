@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -90,8 +91,9 @@ class UsageError(Exception):
     pass
 
 
-class AttackFault(Exception):
-    """A fault raised while a pair was attacked, as opposed to bad input."""
+class RunFault(Exception):
+    """A fault raised while a pair was attacked or a request was served, as
+    opposed to bad input."""
 
 
 def _on_path(verb: str, what: str, path, op):
@@ -145,13 +147,30 @@ def _resolve_settings(args) -> dict:
 def _load_dataset(name: str) -> Dataset:
     if name == "digits8x8":
         return digits8x8()
-    return _on_path("read", "data file", name, Dataset.from_csv)
+    try:
+        return _on_path("read", "data file", name, Dataset.from_csv)
+    except ValueError as exc:
+        raise UsageError(f"malformed data file {name}: {exc}") from None
+
+
+def _valid(build):
+    """build(), with the ValueError of an invalid setting as a usage error."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise UsageError(f"invalid setting: {exc}") from None
 
 
 # -- train ---------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 0:
+        raise UsageError(f"--epochs must be nonnegative, got {args.epochs}")
+    if not 0 < args.lr < math.inf:
+        raise UsageError(f"--lr must be positive and finite, got {args.lr}")
+    if args.hidden < 1:
+        raise UsageError(f"--hidden must be at least 1, got {args.hidden}")
     data = _load_dataset(args.data)
     rng = RngStream(args.seed)
     k = int(np.max(data.labels)) + 1
@@ -229,42 +248,35 @@ def cmd_attack(args) -> int:
     if settings["norm"] not in NORMS:
         raise UsageError(f"unknown norm {settings['norm']!r}; choices: {sorted(NORMS)}")
     feedback = FeedbackMode(args.feedback)
-    cfg = AdmmConfig(
+    cfg = _valid(lambda: AdmmConfig(
         rho=settings["rho"],
         alpha=settings["alpha"],
         max_queries=settings["budget"],
         success_then_refine=not args.no_refine,
         delta_backend=DeltaBackend(args.backend),
-    )
-    loss_cfg = LossConfig(
+    ))
+    loss_cfg = _valid(lambda: LossConfig(
         mode=feedback,
         smoothing_mu=settings["mu"],
         smoothing_samples=settings["n_smooth"],
-    )
-    rge_cfg = RgeConfig(q=settings["q"], nu=settings["nu"])
+    ))
+    rge_cfg = _valid(lambda: RgeConfig(q=settings["q"], nu=settings["nu"]))
     bo_cfg = BoConfig()
 
     model = _on_path("read", "weight file", args.weights, load_weights)
     data = _load_dataset(args.data)
     init_data = _load_dataset(args.init_from) if args.init_from else data
+    for name, ds in (("--data", data), ("--init-from", init_data)):
+        if ds.dim != model.dim:
+            raise UsageError(f"{name} has {ds.dim} features, the victim takes {model.dim}")
 
     mode = AttackMode.UNTARGETED if args.untargeted else AttackMode.TARGETED
     pairs = _select_pairs(model, data, settings["pairs"], args.untargeted)
     if not pairs:
         raise UsageError("no correctly classified inputs available for pairing")
-
-    out_dir = Path(args.out)
-    _on_path("create", "output directory", out_dir,
-             lambda p: p.mkdir(parents=True, exist_ok=True))
-    root_rng = RngStream(args.seed)
-    timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-
-    rows = []
-    n_success = 0
-    for pair_idx, (img_idx, target) in enumerate(pairs):
-        x0 = data.inputs[img_idx]
-        spec = ProblemSpec(
-            x0=x0,
+    specs = _valid(lambda: [
+        ProblemSpec(
+            x0=data.inputs[img_idx],
             target=target,
             num_classes=model.num_classes,
             epsilon=settings["eps"],
@@ -274,6 +286,19 @@ def cmd_attack(args) -> int:
             beta=settings["beta"],
             attack_mode=mode,
         )
+        for img_idx, target in pairs
+    ])
+
+    out_dir = Path(args.out)
+    _on_path("create", "output directory", out_dir,
+             lambda p: p.mkdir(parents=True, exist_ok=True))
+    root_rng = RngStream(args.seed)
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+
+    rows = []
+    n_success = 0
+    for pair_idx, spec in enumerate(specs):
+        target = spec.target
         oracle = ModelOracle(model, scores_available=feedback is FeedbackMode.SCORE)
         init_delta = None
         if feedback is FeedbackMode.DECISION:
@@ -283,7 +308,7 @@ def cmd_attack(args) -> int:
                     f"no exemplar of target class {target} found for "
                     "decision-mode initialization (see --init-from)"
                 )
-            init_delta = exemplar - x0
+            init_delta = exemplar - spec.x0
         try:
             report = run_attack(
                 spec, cfg, loss_cfg, oracle, root_rng.child(pair_idx),
@@ -292,7 +317,7 @@ def cmd_attack(args) -> int:
         except InfeasibleInitializer as exc:
             raise UsageError(str(exc))
         except (ValueError, RuntimeError) as exc:
-            raise AttackFault(f"pair {pair_idx}: {type(exc).__name__}: {exc}") from exc
+            raise RunFault(f"pair {pair_idx}: {type(exc).__name__}: {exc}") from exc
 
         doc = _report_to_dict(report, pair_idx, target, timestamp)
         (out_dir / f"pair_{pair_idx:04d}.json").write_text(
@@ -355,7 +380,10 @@ def cmd_report(args) -> int:
 
 def cmd_serve(args) -> int:
     model = _on_path("read", "weight file", args.weights, load_weights)
-    serve_oracle(model, mode=args.mode)
+    try:
+        serve_oracle(model, mode=args.mode)
+    except ValueError as exc:
+        raise RunFault(str(exc)) from exc
     return EXIT_OK
 
 
@@ -431,10 +459,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except AttackFault as exc:
+    except RunFault as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (UsageError, WeightFormatError, ValueError) as exc:
+    except (UsageError, WeightFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

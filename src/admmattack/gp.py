@@ -2,8 +2,10 @@
 
 Exact posterior via the Cholesky factor L of the covariance, with jitter
 escalation, as in Rasmussen & Williams, GPML Algorithm 2.1; L^-1 is formed
-once per factorization, so each solve against L is a matrix product. The
-posterior takes one query point or a stack of them. Hyperparameters are
+once per factorization by a blocked triangular inverse, so each solve
+against L is a matrix product. The kernel matrix is evaluated once per
+factorization and kept with it for the NLML gradient. The posterior takes
+one query point or a stack of them. Hyperparameters are
 fitted by gradient descent on the negative log marginal likelihood in
 log-space (the printed NLML drops the constant (n/2) log 2pi term, which
 does not affect optimization). Prior mean is fixed at zero.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,12 @@ THETA0_BOUNDS = (1e-3, 1e3)
 NOISE_VAR_BOUNDS = (1e-8, 1.0)
 
 ISOTROPIC_DIM_CUTOFF = 32
+
+TRI_INV_BLOCK = 32  # _tri_inv inverts blocks of at most this many rows directly
+
+_LOG_THETA0_BOUNDS = (math.log(THETA0_BOUNDS[0]), math.log(THETA0_BOUNDS[1]))
+_LOG_LENGTHSCALE_BOUNDS = (math.log(LENGTHSCALE_BOUNDS[0]), math.log(LENGTHSCALE_BOUNDS[1]))
+_LOG_NOISE_VAR_BOUNDS = (math.log(NOISE_VAR_BOUNDS[0]), math.log(NOISE_VAR_BOUNDS[1]))
 
 
 @dataclass(frozen=True)
@@ -49,40 +58,92 @@ class GpHyper:
             raise ValueError("noise variance must be nonnegative")
 
 
-def _matern52(D: np.ndarray, hyper: GpHyper):
-    """Kernel values and (dk/dr)/r from unscaled squared distances D
-    (the output of _sq_dists).
+def _matern52(r2: np.ndarray, theta0: float):
+    """Kernel values and (dk/dr)/r from scaled squared distances
+    r2 = |(x - y) / ls|^2 (see _scaled_r2).
 
     k = theta0^2 exp(-sqrt5 r) (1 + sqrt5 r + (5/3) r^2), and
     (dk/dr)/r = -(5/3) theta0^2 (1 + sqrt5 r) exp(-sqrt5 r), which has no
     singularity at r = 0.
     """
-    r2 = np.sum(D * hyper.lengthscales ** -2.0, axis=-1)
-    r = np.sqrt(r2)
-    e = np.exp(-SQRT5 * r)
-    t2 = hyper.theta0 ** 2
-    return t2 * e * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2), -(5.0 / 3.0) * t2 * (1.0 + SQRT5 * r) * e
+    t2 = theta0 ** 2
+    a = np.sqrt(r2)
+    a *= SQRT5
+    e = np.exp(-a)
+    a += 1.0  # 1 + sqrt5 r
+    q = a * e
+    q *= -(5.0 / 3.0) * t2
+    k = (5.0 / 3.0) * r2
+    k += a
+    k *= e
+    k *= t2
+    return k, q
 
 
-def _sq_dists(X: np.ndarray, Y: np.ndarray, n_ls: int) -> np.ndarray:
+def _sq_dists(X: np.ndarray, Y: np.ndarray, n_ls: int, Y_sq: np.ndarray | None = None):
     """Unscaled squared distances between the rows of X and of Y.
 
     (nx, ny, d) per dimension when there are n_ls > 1 lengthscales (ARD);
-    summed over dimensions to (nx, ny, 1) for one shared lengthscale, via
+    summed over dimensions to (nx, ny) for one shared lengthscale, via
     |x|^2 + |y|^2 - 2 x.y clipped at zero, which needs no (nx, ny, d) array.
+    Y_sq, when given, is |y|^2 for the rows of Y.
     """
     if n_ls > 1:
         return (X[:, None, :] - Y[None, :, :]) ** 2
-    d2 = np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :] - 2.0 * (X @ Y.T)
-    return np.maximum(d2, 0.0)[:, :, None]
+    if Y_sq is None:
+        Y_sq = np.sum(Y * Y, axis=1)
+    d2 = np.sum(X * X, axis=1)[:, None] + Y_sq[None, :] - 2.0 * (X @ Y.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _scaled_r2(D: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
+    """|(x - y) / ls|^2 from the output D of _sq_dists: a scalar multiply
+    for a shared lengthscale, one product with ls^-2 for ARD."""
+    if D.ndim == 2:
+        return D * lengthscales[0] ** -2.0
+    return D @ lengthscales ** -2.0
 
 
 def _kernel_matrix(X: np.ndarray, Y: np.ndarray, hyper: GpHyper) -> np.ndarray:
-    return _matern52(_sq_dists(X, Y, hyper.lengthscales.shape[0]), hyper)[0]
+    D = _sq_dists(X, Y, hyper.lengthscales.shape[0])
+    return _matern52(_scaled_r2(D, hyper.lengthscales), hyper.theta0)[0]
+
+
+def _tri_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by halving.
+
+    For L = [[A, 0], [B, C]], L^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]];
+    blocks of at most TRI_INV_BLOCK rows go to np.linalg.inv, so the work
+    is mostly matrix products.
+    """
+    n = L.shape[0]
+    if n <= TRI_INV_BLOCK:
+        return np.linalg.inv(L)
+    h = n // 2
+    out = np.zeros_like(L)
+    A_inv = out[:h, :h] = _tri_inv(L[:h, :h])
+    C_inv = out[h:, h:] = _tri_inv(L[h:, h:])
+    out[h:, :h] = -(C_inv @ (L[h:, :h] @ A_inv))
+    return out
 
 
 class GpFactorizationError(RuntimeError):
     """Covariance matrix stayed non-PD after maximum jitter escalation."""
+
+
+class _Factor(NamedTuple):
+    """S = K + noise * I = L L^T for the observations under one hyper, with
+    alpha = S^-1 y; the kernel K and its (dk/dr)/r Q serve the NLML gradient."""
+
+    L: np.ndarray
+    L_inv: np.ndarray
+    alpha: np.ndarray
+    K: np.ndarray
+    Q: np.ndarray
+
+
+def _clip(v: float, bounds) -> float:
+    return min(max(v, bounds[0]), bounds[1])
 
 
 class GpModel:
@@ -97,9 +158,10 @@ class GpModel:
             hyper = GpHyper(theta0=1.0, lengthscales=np.ones(n_ls), noise_var=1e-6)
         self.hyper = hyper
         self._X = np.zeros((0, dim))
+        self._X_sq = np.zeros(0)  # |x|^2 of each observation
         self._y = np.zeros(0)
         self._D = None  # _sq_dists of the observations; no hyper enters it
-        self._cache = None  # (L, L^-1, alpha) with S = L L^T, alpha = S^-1 y
+        self._cache = None  # the _Factor under self.hyper
 
     # -- observations -------------------------------------------------
 
@@ -117,29 +179,29 @@ class GpModel:
         if X.ndim != 2 or X.shape[1] != self.dim or X.shape[0] != y.shape[0]:
             raise ValueError("bad observation shapes")
         self._X = X.copy()
+        self._X_sq = np.sum(self._X * self._X, axis=1)
         self._y = y.copy()
         self._D = None
         self._cache = None
 
     # -- factorization -------------------------------------------------
 
-    def _obs_sq_dists(self, h: GpHyper) -> np.ndarray:
-        n_ls = h.lengthscales.shape[0]
-        if self._D is None or self._D.shape[2] != n_ls:
-            self._D = _sq_dists(self._X, self._X, n_ls)
-        return self._D
+    def _sq_dists_to(self, X: np.ndarray, n_ls: int) -> np.ndarray:
+        """_sq_dists from the rows of X to the observations."""
+        return _sq_dists(X, self._X, n_ls, self._X_sq)
 
-    def _S(self, hyper: GpHyper | None = None) -> np.ndarray:
-        h = hyper or self.hyper
-        K = _matern52(self._obs_sq_dists(h), h)[0]
-        return K + h.noise_var * np.eye(self.n)
+    def _obs_sq_dists(self, h: GpHyper) -> np.ndarray:
+        ard = h.lengthscales.shape[0] > 1
+        if self._D is None or (self._D.ndim == 3) != ard:
+            self._D = self._sq_dists_to(self._X, h.lengthscales.shape[0])
+        return self._D
 
     @staticmethod
     def _chol_with_jitter(S: np.ndarray) -> np.ndarray:
         jitter = 0.0
         while True:
             try:
-                return np.linalg.cholesky(S + jitter * np.eye(S.shape[0]))
+                return np.linalg.cholesky(S if jitter == 0.0 else S + jitter * np.eye(S.shape[0]))
             except np.linalg.LinAlgError:
                 jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
                 if jitter > JITTER_MAX:
@@ -147,17 +209,22 @@ class GpModel:
                         "covariance not positive definite after jitter escalation"
                     )
 
-    def _factor_for(self, hyper: GpHyper):
-        """(L, L^-1, alpha = S^-1 y) for the observations under ``hyper``.
+    def _factor_for(self, hyper: GpHyper) -> _Factor:
+        """The factor of the observations' covariance under ``hyper``.
 
-        L^-1 is formed once per factor, so every later solve against L or
+        The kernel is evaluated once; the noise goes onto the diagonal of a
+        copy, and L^-1 is formed once, so every later solve against L or
         L^T is a matrix product.
         """
-        L = self._chol_with_jitter(self._S(hyper))
-        L_inv = np.linalg.inv(L)
-        return L, L_inv, L_inv.T @ (L_inv @ self._y)
+        D = self._obs_sq_dists(hyper)
+        K, Q = _matern52(_scaled_r2(D, hyper.lengthscales), hyper.theta0)
+        S = K.copy()
+        S.flat[:: self.n + 1] += hyper.noise_var
+        L = self._chol_with_jitter(S)
+        L_inv = _tri_inv(L)
+        return _Factor(L, L_inv, L_inv.T @ (L_inv @ self._y), K, Q)
 
-    def _factor(self):
+    def _factor(self) -> _Factor:
         if self._cache is None:
             self._cache = self._factor_for(self.hyper)
         return self._cache
@@ -178,10 +245,11 @@ class GpModel:
         if self.n < 1:
             raise ValueError("posterior requires at least one observation")
         h = self.hyper
-        k, q = _matern52(_sq_dists(X, self._X, h.lengthscales.shape[0]), h)
-        _, L_inv, alpha = self._factor()
-        v = L_inv @ k.T
-        return q, v, k @ alpha, np.maximum(h.theta0 ** 2 - np.sum(v * v, axis=0), 0.0)
+        D = self._sq_dists_to(X, h.lengthscales.shape[0])
+        k, q = _matern52(_scaled_r2(D, h.lengthscales), h.theta0)
+        f = self._factor()
+        v = f.L_inv @ k.T
+        return q, v, k @ f.alpha, np.maximum(h.theta0 ** 2 - np.sum(v * v, axis=0), 0.0)
 
     def posterior(self, x: np.ndarray):
         """Posterior (mean, variance) at x; variance clipped at zero.
@@ -201,24 +269,26 @@ class GpModel:
         """
         X = self._query_rows(x)
         q, v, mu, var = self._posterior_terms(X)
-        _, L_inv, alpha = self._factor()
-        sol = L_inv.T @ v  # S^-1 k^T, (n, R)
-        # dk/dx_j = (dk/dr)/r * (x_j - X_ij)/ls_j^2; (dk/dr)/r is finite at r = 0.
-        # dk holds all but the 1/ls_j^2, which is applied to the sums.
-        dk = q[:, :, None] * (X[:, None, :] - self._X[None, :, :])  # (R, n, d)
+        f = self._factor()
         ls_inv2 = self.hyper.lengthscales ** -2.0
-        dmu = np.matmul(alpha, dk) * ls_inv2
-        dvar = -2.0 * np.matmul(sol.T[:, None, :], dk)[:, 0] * ls_inv2
+
+        def weighted_dk(w):
+            # sum_i w_i dk_i/dx for weights w (R, n): dk_i/dx_j is
+            # q_i (x_j - X_ij) / ls_j^2, and (dk/dr)/r = q is finite at r = 0
+            wq = w * q
+            return (wq.sum(axis=1)[:, None] * X - wq @ self._X) * ls_inv2
+
+        dmu = weighted_dk(f.alpha[None, :])
+        dvar = -2.0 * weighted_dk((f.L_inv.T @ v).T)  # weights S^-1 k^T
         if np.ndim(x) == 1:
             return float(mu[0]), float(var[0]), dmu[0], dvar[0]
         return mu, var, dmu, dvar
 
     # -- marginal likelihood --------------------------------------------
 
-    def _nlml_from(self, factor) -> float:
-        L, _, alpha = factor
+    def _nlml_from(self, factor: _Factor) -> float:
         # 0.5 log|S| = sum(log diag L)
-        return float(np.sum(np.log(np.diag(L)))) + 0.5 * float(self._y @ alpha)
+        return float(np.sum(np.log(np.diag(factor.L)))) + 0.5 * float(self._y @ factor.alpha)
 
     def nlml(self) -> float:
         """0.5 log|S| + 0.5 y^T S^-1 y (constant term dropped)."""
@@ -234,34 +304,34 @@ class GpModel:
 
     def _hyper_from_log(self, p: np.ndarray) -> GpHyper:
         n_ls = self.hyper.lengthscales.shape[0]
-        theta0 = float(np.exp(np.clip(p[0], math.log(THETA0_BOUNDS[0]), math.log(THETA0_BOUNDS[1]))))
-        ls = np.exp(
-            np.clip(p[1 : 1 + n_ls], math.log(LENGTHSCALE_BOUNDS[0]), math.log(LENGTHSCALE_BOUNDS[1]))
+        log_ls = np.minimum(np.maximum(p[1 : 1 + n_ls], _LOG_LENGTHSCALE_BOUNDS[0]),
+                            _LOG_LENGTHSCALE_BOUNDS[1])
+        return GpHyper(
+            theta0=math.exp(_clip(float(p[0]), _LOG_THETA0_BOUNDS)),
+            lengthscales=np.exp(log_ls),
+            noise_var=math.exp(_clip(2.0 * float(p[1 + n_ls]), _LOG_NOISE_VAR_BOUNDS)),
         )
-        log_nv = np.clip(2.0 * p[1 + n_ls], math.log(NOISE_VAR_BOUNDS[0]), math.log(NOISE_VAR_BOUNDS[1]))
-        return GpHyper(theta0=theta0, lengthscales=ls, noise_var=float(np.exp(log_nv)))
 
     def nlml_grad(self) -> np.ndarray:
         """Gradient of nlml over log-hyperparameters.
 
         Layout: [d/dlog theta0, d/dlog ls_1..m, d/dlog sigma_n].
-        Uses dL/dp = 0.5 tr((S^-1 - beta beta^T) dS/dp) with beta = S^-1 y.
+        Uses dL/dp = 0.5 tr((S^-1 - beta beta^T) dS/dp) with beta = S^-1 y,
+        and the kernel matrix kept with the factor.
         """
         if self.n < 1:
             raise ValueError("nlml_grad requires at least one observation")
         h = self.hyper
         n = self.n
-        _, L_inv, beta = self._factor()
-        A = L_inv.T @ L_inv - np.outer(beta, beta)
-
+        f = self._factor()
+        A = f.L_inv.T @ f.L_inv - np.outer(f.alpha, f.alpha)
         D = self._obs_sq_dists(h)
-        K, Q = _matern52(D, h)
         # dS/dlog theta0 = 2K; dK/dlog ls_i = (dK/dr) dr/dlog ls_i = -Q D_i / ls_i^2
         # (D summed over dimensions for a shared lengthscale);
         # dS/dlog sigma_n = 2 sigma_n^2 I
         return np.concatenate([
-            [float(np.sum(A * K))],
-            -0.5 * ((A * Q).ravel() @ D.reshape(n * n, -1)) * h.lengthscales ** -2.0,
+            [float(A.ravel() @ f.K.ravel())],
+            -0.5 * ((A * f.Q).ravel() @ D.reshape(n * n, -1)) * h.lengthscales ** -2.0,
             [float(np.trace(A)) * h.noise_var],
         ])
 

@@ -159,16 +159,27 @@ class ProcessOracle(QueryOracle):
 
 
 def serve_oracle(model, mode: str = "scores", stdin=None, stdout=None):
-    """Serve a victim model over the line-delimited protocol until EOF."""
+    """Serve a victim model over the line-delimited protocol until EOF.
+
+    A request that is not model.dim comma-separated numbers raises
+    ValueError naming its 1-based line.
+    """
     import sys
 
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    for line in stdin:
+    for lineno, line in enumerate(stdin, start=1):
         line = line.strip()
         if not line:
             continue
-        x = np.array([float(t) for t in line.split(",")])
+        try:
+            x = np.array([float(t) for t in line.split(",")])
+        except ValueError:
+            raise ValueError(f"request line {lineno} is not comma-separated numbers: "
+                             f"{line[:80]!r}") from None
+        if x.shape != (model.dim,):
+            raise ValueError(f"request line {lineno} has {x.size} values, "
+                             f"the victim takes {model.dim}")
         scores = model.predict_scores(x)
         if mode == "scores":
             stdout.write(",".join(repr(float(s)) for s in scores) + "\n")

@@ -307,8 +307,14 @@ def load_weights(path):
 
     kind = _CODE_MODELS[model_code]
     try:
-        if kind == "softmax":
-            return SoftmaxModel(*arrays)
-        return MlpModel(*arrays)
+        model = SoftmaxModel(*arrays) if kind == "softmax" else MlpModel(*arrays)
     except TypeError as exc:
         raise WeightFormatError(f"array count mismatch for {kind}: {exc}") from exc
+    # each layer is a (out, in) matrix and an (out,) bias, fed by the layer before
+    fan_in = None
+    for w, b in zip(arrays[::2], arrays[1::2]):
+        if w.ndim != 2 or b.shape != w.shape[:1] or fan_in not in (None, w.shape[1]):
+            raise WeightFormatError(f"inconsistent {kind} array shapes: "
+                                    f"{[a.shape for a in arrays]}")
+        fan_in = w.shape[0]
+    return model

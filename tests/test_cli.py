@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -75,6 +76,20 @@ class TestTrain:
         code = main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "w")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "-1"), ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--hidden", "0"),
+    ])
+    def test_invalid_training_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "w"
+        code = main(["train", "--model", "mlp", "--epochs", "1", flag, value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_epochs_is_allowed(self, tmp_path):
+        assert main(["train", "--epochs", "0", "--out", str(tmp_path / "w")]) == EXIT_OK
 
 
 class TestAttack:
@@ -253,6 +268,29 @@ class TestAttack:
         assert "pair 1" in err
         assert "non-finite loss value" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--rho", "-1"], ["--q", "0"], ["--nu", "0"], ["--alpha", "0"], ["--eps", "0"],
+        ["--gamma", "-1"], ["--kappa", "-1"], ["--feedback", "decision", "--n-smooth", "0"],
+        ["--feedback", "decision", "--mu", "0"],
+    ], ids="=".join)
+    def test_invalid_setting_is_usage_error(self, tmp_path, trained_weights, capsys, extra):
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, *extra) == EXIT_USAGE
+        assert "invalid setting" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0.5,0.5,abc\n", "0.5,0.5,1\n0.5,1\n", "1.5,-0.5,1\n"],
+                             ids=["not-numbers", "ragged", "wrong-width"])
+    def test_bad_data_file_is_usage_error(self, tmp_path, trained_weights, capsys, text):
+        # malformed rows, ragged rows, and rows the victim cannot take (d = 2)
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, "--data", str(data)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(data) in err or "--data" in err
+        assert not out.exists()
+
     def test_decision_mode_smoke(self, tmp_path, trained_weights):
         out = tmp_path / "reports"
         code = run_attack(out, trained_weights, "--feedback", "decision",
@@ -321,6 +359,30 @@ class TestReport:
         assert out["asr"] == 0.0
 
 
+class TestServe:
+    def serve(self, monkeypatch, weights, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return main(["serve", "--weights", str(weights)])
+
+    @pytest.mark.parametrize("text, line, answered", [
+        ("abc\n", 1, 0),
+        ("\n" + ",".join(["0.5"] * 64) + "\n0.5,0.5\n", 3, 1),
+        (",".join(["0.5"] * 65) + "\n", 1, 0),
+    ], ids=["not-numbers", "too-few-values-on-line-3", "too-many-values"])
+    def test_bad_request_is_a_run_fault_naming_its_line(self, monkeypatch, capsys,
+                                                         trained_weights, text, line, answered):
+        assert self.serve(monkeypatch, trained_weights, text) == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert f"request line {line} " in err
+        assert len(out.splitlines()) == answered
+
+    def test_good_requests_are_answered(self, monkeypatch, capsys, trained_weights):
+        row = ",".join(["0.25"] * 64)
+        assert self.serve(monkeypatch, trained_weights, f"{row}\n\n{row}\n") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and len(lines[0].split(",")) == 10
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self):
         assert main([]) == EXIT_USAGE
@@ -330,6 +392,18 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_a_stray_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # exit 2 is for input validation, which raises UsageError where it
+        # happens; any other ValueError propagates
+        (tmp_path / "pair_0000.json").write_text("{}")
+
+        def broken(docs):
+            raise ValueError("not a usage error")
+
+        monkeypatch.setattr(cli, "summarize_reports", broken)
+        with pytest.raises(ValueError, match="not a usage error"):
+            main(["report", str(tmp_path)])
 
     @pytest.mark.parametrize("case", ["attack-out-is-a-file", "train-out-is-a-directory",
                                       "train-out-in-a-missing-directory"])

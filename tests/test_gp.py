@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from admmattack.core import RngStream
-from admmattack.gp import GpHyper, GpModel, _kernel_matrix
+import admmattack.gp as gp
+from admmattack.gp import TRI_INV_BLOCK, GpHyper, GpModel, _kernel_matrix, _tri_inv
 
 
 def _scaled_r(x, y, hyper):
@@ -333,15 +334,131 @@ class TestFitWithoutThrowawayModels:
         assert values[-1] < values[0]
 
     def test_cached_factor_equals_a_fresh_factorization(self):
-        rng = RngStream(51)
-        X = rng.uniform(-1, 1, (20, 2))
-        y = np.sin(3 * X[:, 0]) * X[:, 1]
-        model = GpModel(2)
+        for d in (2, 40):  # one lengthscale per dimension, and one shared
+            rng = RngStream(51)
+            X = rng.uniform(-1, 1, (20, d))
+            y = np.sin(3 * X[:, 0]) * X[:, 1]
+            model = GpModel(d)
+            model.set_data(X, y)
+            model.fit_hypers(steps=10)
+            fresh = GpModel(d, hyper=model.hyper)
+            fresh.set_data(X, y)
+            assert model.nlml() == fresh.nlml()
+            for got, want in zip(model._factor(), fresh._factor()):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(model.nlml_grad(), fresh.nlml_grad())
+            x = rng.uniform(-1, 1, d)
+            assert model.posterior(x) == fresh.posterior(x)
+
+
+def spd_cholesky(n, seed):
+    """Cholesky factor of a BO-like covariance: Matern kernel of n points in
+    [-1, 1]^64 under one shared lengthscale, plus noise."""
+    rng = RngStream(seed)
+    X = rng.uniform(-1, 1, (n, 64))
+    K = _kernel_matrix(X, X, GpHyper(theta0=1.0, lengthscales=np.array([4.0])))
+    return np.linalg.cholesky(K + 1e-4 * np.eye(n))
+
+
+class TestTriInv:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 100, 101])
+    def test_matches_general_inverse(self, n):
+        L = spd_cholesky(n, seed=60 + n)
+        want = np.linalg.inv(L)
+        got = _tri_inv(L)
+        assert np.max(np.abs(got @ L - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if n > TRI_INV_BLOCK:  # a halved inverse has an exactly zero upper block
+            np.testing.assert_array_equal(got[: n // 2, n // 2 :], 0.0)
+
+    def test_general_inverse_sees_only_small_blocks(self, monkeypatch):
+        sizes = []
+        inv = np.linalg.inv
+
+        def recording_inv(a):
+            sizes.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        rng = RngStream(61)
+        model = GpModel(64)
+        X = rng.uniform(-1, 1, (100, 64))
+        model.set_data(X, np.sum(X * X, axis=1))
+        model.fit_hypers(steps=3)
+        model.posterior_with_grad(rng.uniform(-1, 1, (5, 64)))
+        _tri_inv(spd_cholesky(101, seed=62))
+        assert sizes and all(r == c <= TRI_INV_BLOCK for r, c in sizes)
+
+
+def reference_posterior_with_grad(model, X):
+    """The posterior gradient through an (R, n, d) array of kernel
+    derivatives, dk_rij = q_ri (x_rj - X_ij)."""
+    q, v, mu, var = model._posterior_terms(X)
+    f = model._factor()
+    sol = f.L_inv.T @ v  # S^-1 k^T, (n, R)
+    dk = q[:, :, None] * (X[:, None, :] - model._X[None, :, :])
+    ls_inv2 = model.hyper.lengthscales ** -2.0
+    dmu = np.matmul(f.alpha, dk) * ls_inv2
+    dvar = -2.0 * np.matmul(sol.T[:, None, :], dk)[:, 0] * ls_inv2
+    return mu, var, dmu, dvar
+
+
+def reference_nlml_grad(model):
+    """The NLML gradient with the kernel evaluated afresh, not read from the
+    cached factor."""
+    h = model.hyper
+    X, n = model._X, model.n
+    S = _kernel_matrix(X, X, h) + h.noise_var * np.eye(n)
+    S_inv = np.linalg.inv(S)
+    beta = S_inv @ model.targets
+    A = S_inv - np.outer(beta, beta)
+    D = (X[:, None, :] - X[None, :, :]) ** 2
+    if h.lengthscales.shape[0] == 1:
+        D = np.sum(D, axis=-1, keepdims=True)
+    r = np.sqrt(np.sum(D * h.lengthscales ** -2.0, axis=-1))
+    K = _kernel_matrix(X, X, h)
+    Q = -(5.0 / 3.0) * h.theta0 ** 2 * (1.0 + math.sqrt(5) * r) * np.exp(-math.sqrt(5) * r)
+    return np.concatenate([
+        [np.sum(A * K)],
+        -0.5 * np.einsum("ij,ijk->k", A * Q, D) * h.lengthscales ** -2.0,
+        [np.trace(A) * h.noise_var],
+    ])
+
+
+class TestProductFormGradients:
+    def model(self, d, n_ls, n, seed):
+        rng = RngStream(seed)
+        X = rng.uniform(-1, 1, (n, d))
+        y = np.sin(2 * X[:, 0]) + X[:, -1] ** 2
+        h = GpHyper(theta0=1.3, lengthscales=rng.uniform(0.5, 2.0, n_ls) * (1 + (d > 3) * 3),
+                    noise_var=1e-3)
+        model = GpModel(d, hyper=h)
         model.set_data(X, y)
-        model.fit_hypers(steps=10)
-        fresh = GpModel(2, hyper=model.hyper)
-        fresh.set_data(X, y)
-        assert model.nlml() == fresh.nlml()
-        np.testing.assert_array_equal(model.nlml_grad(), fresh.nlml_grad())
-        x = rng.uniform(-1, 1, 2)
-        assert model.posterior(x) == fresh.posterior(x)
+        return model, rng
+
+    @pytest.mark.parametrize("d, n_ls, n", [(3, 3, 15), (3, 1, 15), (20, 20, 60), (64, 1, 100)],
+                             ids=["ard-3", "shared-3", "ard-20", "shared-64"])
+    def test_posterior_gradient_matches_the_3d_reference(self, d, n_ls, n):
+        model, rng = self.model(d, n_ls, n, seed=70 + d)
+        Q = rng.uniform(-1.2, 1.2, (5, d))
+        Q[0] = model._X[3]  # at an observation, where r = 0
+        for got, want in zip(model.posterior_with_grad(Q), reference_posterior_with_grad(model, Q)):
+            np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12)
+            # At an observation dvar is near zero, and the products' rounding is
+            # relative to the size of the gradients elsewhere.
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want[1:])))
+
+    @pytest.mark.parametrize("d, n_ls", [(3, 3), (3, 1), (40, 1)])
+    def test_nlml_grad_reads_the_kernel_from_the_factor(self, d, n_ls, monkeypatch):
+        model, _ = self.model(d, n_ls, 25, seed=80 + d)
+        model.nlml()  # factors
+        calls = []
+        matern = gp._matern52
+        monkeypatch.setattr(gp, "_matern52", lambda *a: calls.append(1) or matern(*a))
+        g = model.nlml_grad()
+        assert calls == []
+        np.testing.assert_allclose(g, reference_nlml_grad(model), rtol=1e-12)
+        fresh = GpModel(d, hyper=model.hyper)
+        fresh.set_data(model._X, model.targets)
+        np.testing.assert_array_equal(g, fresh.nlml_grad())

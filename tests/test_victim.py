@@ -239,6 +239,17 @@ class TestSerialization:
         with pytest.raises(WeightFormatError, match="magic"):
             load_weights(path)
 
+    @pytest.mark.parametrize("model", [
+        SoftmaxModel(np.ones((3, 2)), np.zeros(2)),
+        MlpModel(np.ones((4, 2)), np.zeros(4), np.ones((3, 5)), np.zeros(3)),
+        MlpModel(np.ones((4, 2)), np.zeros(4), np.ones((3, 4)), np.zeros(4)),
+    ], ids=["softmax-bias", "mlp-fan-in", "mlp-bias"])
+    def test_inconsistent_shapes_rejected(self, tmp_path, model):
+        path = tmp_path / "m.weights"
+        save_weights(model, path)
+        with pytest.raises(WeightFormatError, match="inconsistent"):
+            load_weights(path)
+
     def test_unknown_model_code_rejected(self, tmp_path):
         import struct
 
