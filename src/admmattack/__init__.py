@@ -8,12 +8,9 @@ bundled victim classifiers for end-to-end evaluation.
 
 from .admm import (
     AdmmConfig,
-    AttackState,
     DeltaBackend,
     InfeasibleInitializer,
     RunReport,
-    admm_iterate,
-    delta_zo_step,
     run_attack,
 )
 from .bo import BoConfig, BoDeltaSolver, ei_gradient, expected_improvement
@@ -54,7 +51,6 @@ from .victim import (
 __all__ = [
     "AdmmConfig",
     "AttackMode",
-    "AttackState",
     "BoConfig",
     "BoDeltaSolver",
     "Dataset",
@@ -75,10 +71,8 @@ __all__ = [
     "RunReport",
     "SoftmaxModel",
     "ZStepInput",
-    "admm_iterate",
     "box_feasible",
     "decision_loss",
-    "delta_zo_step",
     "digits8x8",
     "distortion_value",
     "ei_gradient",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .bo import BoConfig, BoDeltaSolver
 from .core import (
     ProblemSpec,
     RngStream,
-    box_feasible,
     distortion_value,
     lp_norms,
     project_box_linf,
@@ -66,8 +65,7 @@ class AdmmConfig:
 class BestIterate:
     perturbation: np.ndarray | None = None
     dist_value: float = math.inf
-    success: bool = False
-    queries_at_success: int | None = None
+    queries_at_success: int | None = None  # None until the first success
 
 
 @dataclass
@@ -115,7 +113,7 @@ def delta_zo_step(
     rge_cfg: RgeConfig,
     loss,
     rng: RngStream,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Linearized closed-form delta update; consumes Q+1 loss evaluations.
 
     With b = z + u/rho and eta_k = alpha*sqrt(k):
@@ -142,16 +140,39 @@ def make_loss(
 
     A float for one perturbation (d,), n values for a stack (n, d).
     """
-    x0 = spec.x0
-    if loss_cfg.mode is FeedbackMode.SCORE:
-        def loss(delta):
-            x = np.clip(x0 + delta, 0.0, 1.0)
+    def loss(delta):
+        x = np.clip(spec.x0 + delta, 0.0, 1.0)
+        if loss_cfg.mode is FeedbackMode.SCORE:
             return score_loss(oracle, x, spec)
-    else:
-        def loss(delta):
-            x = np.clip(x0 + delta, 0.0, 1.0)
-            return smoothed_decision_loss(oracle, x, spec, loss_cfg, rng)
+        return smoothed_decision_loss(oracle, x, spec, loss_cfg, rng)
+
     return loss
+
+
+def make_delta_step(
+    spec: ProblemSpec,
+    cfg: AdmmConfig,
+    rge_cfg: RgeConfig | None = None,
+    bo_cfg: BoConfig | None = None,
+):
+    """(step, loss evaluations per step) for cfg.delta_backend.
+
+    step(state after the z-step, loss, rng) returns (delta, loss value).
+    """
+    if cfg.delta_backend is DeltaBackend.ZO:
+        rge_cfg = rge_cfg or RgeConfig()
+
+        def zo_step(state, loss, rng):
+            return delta_zo_step(state, cfg, rge_cfg, loss, rng)
+
+        return zo_step, rge_cfg.q + 1
+    solver = BoDeltaSolver(spec.x0, spec.epsilon, bo_cfg or BoConfig())
+
+    def bo_step(state, loss, rng):
+        delta = solver.step(state.z + state.u / cfg.rho, cfg.rho, loss, rng)
+        return delta, solver.best_f
+
+    return bo_step, solver.cfg.init_samples + solver.cfg.max_bo_iters
 
 
 def admm_iterate(
@@ -161,10 +182,12 @@ def admm_iterate(
     oracle: QueryOracle,
     rng: RngStream,
     loss,
-    rge_cfg: RgeConfig | None = None,
-    bo_solver: BoDeltaSolver | None = None,
+    delta_step,
 ):
-    """One full ADMM iteration; returns (new state, iteration record)."""
+    """One full ADMM iteration; returns (new state, iteration record).
+
+    delta_step is the first element of make_delta_step's result.
+    """
     k = state.k + 1
     a = state.delta - state.u / cfg.rho
     z = prox.zstep(
@@ -179,53 +202,26 @@ def admm_iterate(
         )
     )
 
-    stepped = AttackState(delta=state.delta, z=z, u=state.u, k=k, best=state.best)
-    if cfg.delta_backend is DeltaBackend.ZO:
-        if rge_cfg is None:
-            raise ValueError("ZO backend needs an RGE configuration")
-        delta, loss_val = delta_zo_step(stepped, cfg, rge_cfg, loss, rng)
-    else:
-        if bo_solver is None:
-            raise ValueError("BO backend needs a BO solver")
-        b = z + state.u / cfg.rho
-        delta = bo_solver.step(b, cfg.rho, loss, rng)
-        loss_val = bo_solver.best_f
-
+    delta, loss_val = delta_step(replace(state, z=z, k=k), loss, rng)
     u = state.u + cfg.rho * (z - delta)
 
-    probe = z  # feasible by construction of the z-step
-    success = is_success(oracle, np.clip(spec.x0 + probe, 0.0, 1.0), spec)
+    # The success probe is z, feasible by construction of the z-step.
+    success = is_success(oracle, np.clip(spec.x0 + z, 0.0, 1.0), spec)
+    dval = distortion_value(z, spec.distortion, spec.beta)
     best = state.best
-    if success:
-        dval = distortion_value(probe, spec.distortion, spec.beta)
-        if best.queries_at_success is None:
-            best = BestIterate(
-                perturbation=np.array(probe),
-                dist_value=dval,
-                success=True,
-                queries_at_success=oracle.queries_used,
-            )
-        elif dval < best.dist_value:
-            best = BestIterate(
-                perturbation=np.array(probe),
-                dist_value=dval,
-                success=True,
-                queries_at_success=best.queries_at_success,
-            )
+    first = best.queries_at_success
+    if success and (first is None or dval < best.dist_value):
+        best = BestIterate(
+            perturbation=np.array(z),
+            dist_value=dval,
+            queries_at_success=oracle.queries_used if first is None else first,
+        )
 
     new_state = AttackState(delta=delta, z=z, u=u, k=k, best=best)
-    norms = lp_norms(best.perturbation) if best.perturbation is not None else lp_norms(probe)
-    record = IterationRecord(
-        k=k,
-        loss=loss_val,
-        dist_value=distortion_value(z, spec.distortion, spec.beta),
-        l0=norms[0],
-        l1=norms[1],
-        l2=norms[2],
-        linf=norms[3],
-        cumulative_queries=oracle.queries_used,
-        success=success,
-    )
+    # l0, l1, l2 and linf of the best success so far, or of z before the first
+    norms = lp_norms(best.perturbation if best.perturbation is not None else z)
+    record = IterationRecord(k, loss_val, dval, *norms,
+                             cumulative_queries=oracle.queries_used, success=success)
     return new_state, record
 
 
@@ -245,8 +241,9 @@ def run_attack(
     initializer perturbation reaching the target class (typically
     x_target - x0); it is projected and verified with one label query.
     """
-    d = spec.dim
+    delta0, best, rows_per_eval = np.zeros(spec.dim), BestIterate(), 1
     if loss_cfg.mode is FeedbackMode.DECISION:
+        rows_per_eval = loss_cfg.smoothing_samples
         if init_delta is None:
             raise ValueError("decision mode requires an initial perturbation")
         delta0 = project_box_linf(spec.x0, init_delta, spec.epsilon)
@@ -254,22 +251,14 @@ def run_attack(
             raise InfeasibleInitializer(
                 "initial perturbed input is not classified as the target class"
             )
-        state = AttackState(delta=delta0, z=np.array(delta0), u=np.zeros(d))
-        state.best = BestIterate(
+        best = BestIterate(
             perturbation=np.array(delta0),
             dist_value=distortion_value(delta0, spec.distortion, spec.beta),
-            success=True,
             queries_at_success=oracle.queries_used,
         )
-    else:
-        state = AttackState(delta=np.zeros(d), z=np.zeros(d), u=np.zeros(d))
+    state = AttackState(delta=delta0, z=np.array(delta0), u=np.zeros(spec.dim), best=best)
 
-    if cfg.delta_backend is DeltaBackend.ZO and rge_cfg is None:
-        rge_cfg = RgeConfig()
-    bo_solver = None
-    if cfg.delta_backend is DeltaBackend.BO:
-        bo_solver = BoDeltaSolver(spec.x0, spec.epsilon, bo_cfg or BoConfig())
-
+    delta_step, evals = make_delta_step(spec, cfg, rge_cfg, bo_cfg)
     loss = make_loss(spec, loss_cfg, oracle, rng.child(1))
     iter_rng = rng.child(2)
 
@@ -291,34 +280,20 @@ def run_attack(
     # Per-iteration query cost is known up front, so the budget is a hard
     # cap: an iteration that could not finish within it never starts. Every
     # iteration charges at least its success probe, so the budget ends the loop.
-    per_eval = (
-        loss_cfg.smoothing_samples if loss_cfg.mode is FeedbackMode.DECISION else 1
-    )
-    if cfg.delta_backend is DeltaBackend.ZO:
-        iter_cost = (rge_cfg.q + 1) * per_eval + 1
-    else:
-        n_evals = bo_solver.cfg.init_samples + bo_solver.cfg.max_bo_iters
-        iter_cost = n_evals * per_eval + 1
+    iter_cost = evals * rows_per_eval + 1
 
     start_queries = oracle.queries_used
     while oracle.queries_used - start_queries + iter_cost <= cfg.max_queries:
-        if state.best.success and not cfg.success_then_refine:
+        if state.best.queries_at_success is not None and not cfg.success_then_refine:
             break
-        state, record = admm_iterate(
-            state, spec, cfg, oracle, iter_rng, loss,
-            rge_cfg=rge_cfg, bo_solver=bo_solver,
-        )
+        state, record = admm_iterate(state, spec, cfg, oracle, iter_rng, loss, delta_step)
         report.records.append(record)
 
     best = state.best
-    report.success = best.success
-    report.queries_first_success = (
-        best.queries_at_success - start_queries
-        if best.queries_at_success is not None
-        else None
-    )
-    report.final_perturbation = best.perturbation
-    if best.perturbation is not None:
+    if best.queries_at_success is not None:
+        report.success = True
+        report.queries_first_success = best.queries_at_success - start_queries
+        report.final_perturbation = best.perturbation
         report.final_norms = lp_norms(best.perturbation)
     report.total_queries = oracle.queries_used - start_queries
     return report

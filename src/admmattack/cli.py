@@ -413,19 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--data", default="digits8x8")
     p_attack.add_argument("--backend", choices=("zo", "bo"), default="zo")
     p_attack.add_argument("--feedback", choices=("score", "decision"), default="score")
-    p_attack.add_argument("--norm", choices=tuple(NORMS))
-    p_attack.add_argument("--beta", type=float)
-    p_attack.add_argument("--eps", type=float)
-    p_attack.add_argument("--gamma", type=float)
-    p_attack.add_argument("--rho", type=float)
-    p_attack.add_argument("--alpha", type=float)
-    p_attack.add_argument("--q", type=int)
-    p_attack.add_argument("--nu", type=float)
-    p_attack.add_argument("--mu", type=float)
-    p_attack.add_argument("--n-smooth", dest="n_smooth", type=int)
-    p_attack.add_argument("--kappa", type=float)
-    p_attack.add_argument("--budget", type=int)
-    p_attack.add_argument("--pairs", type=int)
+    for key, value in PRESETS["mnist-like"].items():  # each setting is a flag of its type
+        p_attack.add_argument("--" + key.replace("_", "-"), type=type(value))
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.add_argument("--out", default="reports")
     p_attack.add_argument("--untargeted", action="store_true")

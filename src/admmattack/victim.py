@@ -130,6 +130,10 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels disagree on sample count")
+        if np.any(self.labels < 0):
+            raise ValueError("class labels must be nonnegative")
+        if not np.all(np.isfinite(self.inputs)):
+            raise ValueError("features must be finite")
 
     @property
     def n(self) -> int:

@@ -13,8 +13,10 @@ from admmattack.admm import (
     InfeasibleInitializer,
     admm_iterate,
     delta_zo_step,
+    make_delta_step,
     run_attack,
 )
+from admmattack.bo import BoConfig
 from admmattack.core import (
     AttackMode,
     Distortion,
@@ -76,6 +78,11 @@ def make_spec(x0, target=1, k=2, **kw):
     return ProblemSpec(x0=x0, target=target, num_classes=k, epsilon=1.0, **kw)
 
 
+def zo_step(spec, cfg, rge_cfg):
+    """The ZO delta-step that run_attack would build for these settings."""
+    return make_delta_step(spec, cfg, rge_cfg)[0]
+
+
 class TestAdmmIterate:
     def test_z_matches_feasible_delta_when_gamma_zero(self):
         x0 = np.full(3, 0.5)
@@ -86,7 +93,7 @@ class TestAdmmIterate:
         cfg = AdmmConfig(rho=1.0)
         loss = lambda V: np.zeros(len(V))
         new_state, _ = admm_iterate(state, spec, cfg, oracle, RngStream(0), loss,
-                                    rge_cfg=RgeConfig(q=2, nu=0.1))
+                                    zo_step(spec, cfg, RgeConfig(q=2, nu=0.1)))
         np.testing.assert_allclose(new_state.z, delta, atol=1e-15)
 
     def test_dual_unchanged_when_residual_zero(self):
@@ -99,7 +106,8 @@ class TestAdmmIterate:
         state = AttackState(delta=delta, z=delta.copy(), u=np.zeros(2))
         cfg = AdmmConfig(rho=2.0)
         new_state, _ = admm_iterate(state, spec, cfg, oracle, RngStream(1),
-                                    lambda V: np.ones(len(V)), rge_cfg=RgeConfig(q=2, nu=0.1))
+                                    lambda V: np.ones(len(V)),
+                                    zo_step(spec, cfg, RgeConfig(q=2, nu=0.1)))
         np.testing.assert_allclose(new_state.u, np.zeros(2), atol=1e-14)
 
     def test_dual_update_algebra(self):
@@ -113,7 +121,7 @@ class TestAdmmIterate:
         loss = lambda V: np.sum(V ** 2, axis=1)
         u_before = state.u.copy()
         new_state, _ = admm_iterate(state, spec, cfg, oracle, rng, loss,
-                                    rge_cfg=RgeConfig(q=3, nu=0.1))
+                                    zo_step(spec, cfg, RgeConfig(q=3, nu=0.1)))
         lhs = new_state.u - u_before
         rhs = cfg.rho * (new_state.z - new_state.delta)
         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
@@ -128,7 +136,7 @@ class TestAdmmIterate:
         loss = lambda V: np.sin(np.sum(V, axis=1))
         for _ in range(30):
             state, _ = admm_iterate(state, spec, cfg, oracle, rng, loss,
-                                    rge_cfg=RgeConfig(q=3, nu=0.2))
+                                    zo_step(spec, cfg, RgeConfig(q=3, nu=0.2)))
             assert box_feasible(x0, state.z, spec.epsilon)
 
     def test_query_accounting_per_iteration_score_mode(self):
@@ -141,8 +149,9 @@ class TestAdmmIterate:
         q = 6
         state = AttackState(delta=np.zeros(2), z=np.zeros(2), u=np.zeros(2))
         before = oracle.queries_used
-        state, _ = admm_iterate(state, spec, AdmmConfig(rho=1.0), oracle,
-                                RngStream(5), loss, rge_cfg=RgeConfig(q=q, nu=0.1))
+        cfg = AdmmConfig(rho=1.0)
+        state, _ = admm_iterate(state, spec, cfg, oracle, RngStream(5), loss,
+                                zo_step(spec, cfg, RgeConfig(q=q, nu=0.1)))
         assert oracle.queries_used - before == (q + 1) + 1
 
     def test_query_accounting_per_iteration_decision_mode(self):
@@ -158,9 +167,50 @@ class TestAdmmIterate:
         q = 5
         state = AttackState(delta=np.zeros(2), z=np.zeros(2), u=np.zeros(2))
         before = oracle.queries_used
-        state, _ = admm_iterate(state, spec, AdmmConfig(rho=1.0), oracle,
-                                RngStream(7), loss, rge_cfg=RgeConfig(q=q, nu=0.1))
+        cfg = AdmmConfig(rho=1.0)
+        state, _ = admm_iterate(state, spec, cfg, oracle, RngStream(7), loss,
+                                zo_step(spec, cfg, RgeConfig(q=q, nu=0.1)))
         assert oracle.queries_used - before == (q + 1) * n + 1
+
+
+class TestBoQueryAccounting:
+    """BO-ADMM's per-iteration query cost, pinned as the ZO cost is above."""
+
+    BO = BoConfig(init_samples=3, max_bo_iters=2, ei_restarts=2, ei_steps=5, fit_steps=3)
+
+    def problem(self, n, budget=20000):
+        spec = make_spec(np.array([0.3, 0.5]))
+        cfg = AdmmConfig(rho=1.0, max_queries=budget, delta_backend=DeltaBackend.BO)
+        loss_cfg = (LossConfig() if n == 1 else
+                    LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=0.5, smoothing_samples=n))
+        # the target class 1 wins iff x[0] > 0.5
+        oracle = FunctionOracle(lambda x: np.array([1.0 - x[0], x[0]]))
+        return spec, cfg, loss_cfg, oracle
+
+    @pytest.mark.parametrize("n", [1, 4], ids=["score", "decision"])
+    def test_query_accounting_per_iteration(self, n):
+        from admmattack.admm import make_loss
+        spec, cfg, loss_cfg, oracle = self.problem(n)
+        loss = make_loss(spec, loss_cfg, oracle, RngStream(8))
+        step, evals = make_delta_step(spec, cfg, bo_cfg=self.BO)
+        assert evals == 3 + 2
+        state = AttackState(delta=np.zeros(2), z=np.zeros(2), u=np.zeros(2))
+        rng = RngStream(9)
+        for _ in range(3):
+            before = oracle.queries_used
+            state, _ = admm_iterate(state, spec, cfg, oracle, rng, loss, step)
+            assert oracle.queries_used - before == (3 + 2) * n + 1
+
+    # each budget is one query short of another whole iteration
+    @pytest.mark.parametrize("n, budget", [(1, 41), (3, 79)], ids=["score", "decision"])
+    def test_budget_is_a_hard_cap(self, n, budget):
+        spec, cfg, loss_cfg, oracle = self.problem(n, budget)
+        init_delta = np.array([0.5, 0.0]) if n > 1 else None
+        rep = run_attack(spec, cfg, loss_cfg, oracle, RngStream(10), bo_cfg=self.BO,
+                         init_delta=init_delta)
+        iter_cost = (3 + 2) * n + 1
+        assert rep.total_queries <= budget < rep.total_queries + iter_cost
+        assert rep.total_queries == len(rep.records) * iter_cost
 
 
 class TestWhiteBoxConvergence:

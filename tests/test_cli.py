@@ -88,6 +88,16 @@ class TestTrain:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["0.5,0.5,-1\n0.2,0.1,0\n", "0.5,nan,1\n0.2,0.1,0\n"],
+                             ids=["negative-label", "nan-feature"])
+    def test_bad_data_values_are_usage_errors(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        out = tmp_path / "w"
+        assert main(["train", "--data", str(data), "--out", str(out)]) == EXIT_USAGE
+        assert f"malformed data file {data}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_epochs_is_allowed(self, tmp_path):
         assert main(["train", "--epochs", "0", "--out", str(tmp_path / "w")]) == EXIT_OK
 
@@ -153,6 +163,16 @@ class TestAttack:
                      "--out", str(out), "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert "'budgt'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_unknown_norm_is_usage_error(self, tmp_path, trained_weights, capsys, how):
+        cfg = tmp_path / "norm.cfg"
+        cfg.write_text("norm = l3\n")
+        extra = ["--norm", "l3"] if how == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, *extra) == EXIT_USAGE
+        assert "unknown norm 'l3'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, trained_weights,
@@ -289,6 +309,18 @@ class TestAttack:
         assert run_attack(out, trained_weights, "--data", str(data)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert str(data) in err or "--data" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--data", "--init-from"])
+    @pytest.mark.parametrize("row", ["0.5," * 64 + "-1\n", "0.5," * 63 + "nan,1\n"],
+                             ids=["negative-label", "nan-feature"])
+    def test_bad_data_values_are_usage_errors(self, tmp_path, trained_weights, capsys,
+                                              flag, row):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5," * 64 + "0\n" + row)
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, flag, str(data)) == EXIT_USAGE
+        assert f"malformed data file {data}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_decision_mode_smoke(self, tmp_path, trained_weights):

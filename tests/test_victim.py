@@ -99,6 +99,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("inputs, labels, message", [
+        ([[0.5, 0.5], [0.2, 0.1]], [-1, 0], "nonnegative"),
+        ([[0.5, np.nan], [0.2, 0.1]], [1, 0], "finite"),
+        ([[0.5, 0.5], [np.inf, 0.1]], [1, 0], "finite"),
+    ], ids=["negative-label", "nan-feature", "inf-feature"])
+    def test_negative_label_or_nonfinite_feature_rejected(self, inputs, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.array(inputs), np.array(labels))
+
 
 def separable_blobs(n_per_class=50, seed=11):
     """Two well-separated Gaussian blobs in 2-D."""
