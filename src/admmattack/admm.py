@@ -136,10 +136,8 @@ def make_loss(
     oracle: QueryOracle,
     rng: RngStream,
 ):
-    """Attack loss over perturbations, clamping query points to [0,1]^d.
-
-    A float for one perturbation (d,), n values for a stack (n, d).
-    """
+    """Attack loss over a stack of perturbations (n, d), n values, clamping
+    query points to [0,1]^d."""
     def loss(delta):
         x = np.clip(spec.x0 + delta, 0.0, 1.0)
         if loss_cfg.mode is FeedbackMode.SCORE:

@@ -52,7 +52,7 @@ def _norm_cdf(z):
     return 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=np.float64)
 
 
-def expected_improvement(mu, sigma, l_plus: float):
+def expected_improvement(mu, sigma, l_plus: float) -> np.ndarray:
     """Closed-form EI for minimization, element-wise; max(l_plus - mu, 0) where sigma = 0."""
     mu, sigma = np.asarray(mu, dtype=np.float64), np.asarray(sigma, dtype=np.float64)
     if np.any(sigma < 0):
@@ -60,30 +60,23 @@ def expected_improvement(mu, sigma, l_plus: float):
     gap = l_plus - mu
     flat = sigma == 0.0
     z = gap / np.where(flat, 1.0, sigma)
-    ei = np.where(flat, np.where(0.0 > gap, 0.0, gap), gap * _norm_cdf(z) + sigma * _norm_pdf(z))
-    return float(ei) if ei.ndim == 0 else ei
+    return np.where(flat, np.where(0.0 > gap, 0.0, gap), gap * _norm_cdf(z) + sigma * _norm_pdf(z))
 
 
 def ei_gradient(model: GpModel, x: np.ndarray, l_plus: float):
-    """Analytic EI gradient; returns (gradient, degenerate flag).
+    """Analytic EI gradient at the rows of x (R, d): the (R, d) gradients and
+    an (R,) bool array of degenerate flags.
 
-    At one point (d,) the flag is a bool; at a stack (R, d) the gradient is
-    (R, d) and the flags an (R,) bool array, row for row the same.
     grad EI = -Phi(z) grad mu + phi(z) grad sigma with z = (l_plus - mu)/sigma.
-    Degenerate (sigma = 0) points get a zero gradient and flag True.
+    Degenerate (sigma = 0) rows get a zero gradient and flag True.
     """
-    x = np.asarray(x, dtype=np.float64)
     mu, var, dmu, dvar = model.posterior_with_grad(x)
-    mu, var = np.atleast_1d(mu, var)
-    dmu, dvar = np.atleast_2d(dmu, dvar)
     degenerate = var <= 0.0
     sigma = np.sqrt(np.where(degenerate, 1.0, var))
     dsigma = dvar / (2.0 * sigma)[:, None]
     z = (l_plus - mu) / sigma
     grad = -_norm_cdf(z)[:, None] * dmu + _norm_pdf(z)[:, None] * dsigma
     grad[degenerate] = 0.0
-    if x.ndim == 1:
-        return grad[0], bool(degenerate[0])
     return grad, degenerate
 
 

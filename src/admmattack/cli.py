@@ -265,6 +265,8 @@ def cmd_attack(args) -> int:
 
     model = _on_path("read", "weight file", args.weights, load_weights)
     data = _load_dataset(args.data)
+    if not np.all((data.inputs >= 0.0) & (data.inputs <= 1.0)):
+        raise UsageError(f"malformed data file {args.data}: an attack input lies outside [0, 1]")
     init_data = _load_dataset(args.init_from) if args.init_from else data
     for name, ds in (("--data", data), ("--init-from", init_data)):
         if ds.dim != model.dim:

@@ -5,7 +5,7 @@ escalation, as in Rasmussen & Williams, GPML Algorithm 2.1; L^-1 is formed
 once per factorization by a blocked triangular inverse, so each solve
 against L is a matrix product. The kernel matrix is evaluated once per
 factorization and kept with it for the NLML gradient. The posterior takes
-one query point or a stack of them. Hyperparameters are
+a stack of query points and returns per-row arrays. Hyperparameters are
 fitted by gradient descent on the negative log marginal likelihood in
 log-space (the printed NLML drops the constant (n/2) log 2pi term, which
 does not affect optimization). Prior mean is fixed at zero.
@@ -102,11 +102,6 @@ def _scaled_r2(D: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     if D.ndim == 2:
         return D * lengthscales[0] ** -2.0
     return D @ lengthscales ** -2.0
-
-
-def _kernel_matrix(X: np.ndarray, Y: np.ndarray, hyper: GpHyper) -> np.ndarray:
-    D = _sq_dists(X, Y, hyper.lengthscales.shape[0])
-    return _matern52(_scaled_r2(D, hyper.lengthscales), hyper.theta0)[0]
 
 
 def _tri_inv(L: np.ndarray) -> np.ndarray:
@@ -232,7 +227,8 @@ class GpModel:
     # -- inference -----------------------------------------------------
 
     def _query_rows(self, x: np.ndarray) -> np.ndarray:
-        """One point (d,) or a stack (R, d) as an (R, d) float array."""
+        """A stack (R, d) as an (R, d) float array; one point (d,) is read as
+        a one-row stack."""
         X = np.asarray(x, dtype=np.float64)
         if X.ndim not in (1, 2) or X.shape[-1] != self.dim:
             raise ValueError(f"query points must be (d,) or (R, d) with d = {self.dim}, "
@@ -252,21 +248,14 @@ class GpModel:
         return q, v, k @ f.alpha, np.maximum(h.theta0 ** 2 - np.sum(v * v, axis=0), 0.0)
 
     def posterior(self, x: np.ndarray):
-        """Posterior (mean, variance) at x; variance clipped at zero.
-
-        One point (d,) gives floats; a stack (R, d) gives (R,) arrays.
-        """
+        """Posterior mean and variance (clipped at zero) at the rows of x
+        (R, d), as (R,) arrays."""
         _, _, mu, var = self._posterior_terms(self._query_rows(x))
-        if np.ndim(x) == 1:
-            return float(mu[0]), float(var[0])
         return mu, var
 
     def posterior_with_grad(self, x: np.ndarray):
-        """(mu, var, dmu/dx, dvar/dx) via analytic kernel derivatives.
-
-        One point (d,) gives floats and (d,) gradients; a stack (R, d)
-        gives (R,) arrays and (R, d) gradients, row for row the same.
-        """
+        """(mu, var, dmu/dx, dvar/dx) at the rows of x (R, d) via analytic
+        kernel derivatives: (R,) arrays and (R, d) gradients."""
         X = self._query_rows(x)
         q, v, mu, var = self._posterior_terms(X)
         f = self._factor()
@@ -280,8 +269,6 @@ class GpModel:
 
         dmu = weighted_dk(f.alpha[None, :])
         dvar = -2.0 * weighted_dk((f.L_inv.T @ v).T)  # weights S^-1 k^T
-        if np.ndim(x) == 1:
-            return float(mu[0]), float(var[0]), dmu[0], dvar[0]
         return mu, var, dmu, dvar
 
     # -- marginal likelihood --------------------------------------------

@@ -2,7 +2,8 @@
 
 Oracles expose ``query_label`` (always) and optionally ``query_scores``;
 each takes one point or a stack of n points and adds n to a monotone query
-ledger. The losses here never query more than their documented count.
+ledger. The losses take a stack of n points and return n values; they never
+query more than their documented count.
 """
 
 from __future__ import annotations
@@ -66,14 +67,18 @@ class QueryOracle:
 
     Both queries take one point (d,) or a stack (n, d) and charge one query
     per row once the victim has answered; a call that raises charges
-    nothing. Subclasses implement ``_predict`` (full class scores), or only
-    ``_label`` for a label-only oracle.
+    nothing. Subclasses implement ``_scores`` (full class scores); an oracle
+    with ``scores_available`` false is label-only and refuses score queries.
     """
+
+    scores_available = True
 
     def __init__(self):
         self.queries_used = 0
 
     def query_scores(self, x: np.ndarray) -> np.ndarray:
+        if not self.scores_available:
+            raise OracleCapabilityError("oracle is label-only and does not expose class scores")
         return self._charged(self._scores, x)
 
     def query_label(self, x: np.ndarray):
@@ -85,14 +90,11 @@ class QueryOracle:
         self.queries_used += x.shape[0] if x.ndim == 2 else 1
         return out
 
-    def _predict(self, x: np.ndarray) -> np.ndarray:
-        raise OracleCapabilityError("oracle does not expose class scores")
-
     def _scores(self, x: np.ndarray) -> np.ndarray:
-        return self._predict(x)
+        raise NotImplementedError
 
     def _label(self, x: np.ndarray):
-        return hard_label(self._predict(x))
+        return hard_label(self._scores(x))
 
 
 class ModelOracle(QueryOracle):
@@ -101,15 +103,10 @@ class ModelOracle(QueryOracle):
     def __init__(self, model, scores_available: bool = True):
         super().__init__()
         self.model = model
-        self._scores_available = scores_available
-
-    def _predict(self, x):
-        return self.model.predict_scores(x)
+        self.scores_available = scores_available
 
     def _scores(self, x):
-        if not self._scores_available:
-            raise OracleCapabilityError("oracle configured as label-only")
-        return self._predict(x)
+        return self.model.predict_scores(x)
 
 
 class ProcessOracle(QueryOracle):
@@ -124,7 +121,7 @@ class ProcessOracle(QueryOracle):
         super().__init__()
         if mode not in ("scores", "label"):
             raise ValueError("mode must be 'scores' or 'label'")
-        self.mode = mode
+        self.scores_available = mode == "scores"
         self.proc = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,
@@ -142,13 +139,11 @@ class ProcessOracle(QueryOracle):
             raise RuntimeError("oracle process closed its output stream")
         return reply.strip()
 
-    def _predict(self, x):
-        if self.mode != "scores":
-            raise OracleCapabilityError("process oracle is running in label mode")
+    def _scores(self, x):
         return _rowwise(lambda row: [float(t) for t in self._roundtrip(row).split(",")], x)
 
     def _label(self, x):
-        if self.mode == "scores":
+        if self.scores_available:
             return super()._label(x)
         return _per_point(_rowwise(lambda row: int(self._roundtrip(row)), x))
 
@@ -198,12 +193,11 @@ def _goal_met(labels, spec: ProblemSpec):
     return (labels == spec.target) == (spec.attack_mode is AttackMode.TARGETED)
 
 
-def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec):
-    """C&W-style log-score loss; one score query per point.
+def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """C&W-style log-score loss of each row of x (n, d); one score query per row.
 
     Targeted: max(max_{j != t} log P_j - log P_t, -kappa). Untargeted swaps
-    roles with t0 = spec.target holding the original label. A float for one
-    point (d,), an (n,) array for a stack (n, d).
+    roles with t0 = spec.target holding the original label.
     """
     logp = np.log(np.clip(oracle.query_scores(x), PROB_FLOOR, None))
     t = spec.target
@@ -214,12 +208,13 @@ def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec):
         val = logp[..., t] - others
     # the semantics of Python's max(val, -kappa), signed zeros included
     floor = -spec.kappa
-    return _per_point(np.where(floor > val, floor, val))
+    return np.where(floor > val, floor, val)
 
 
-def decision_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec):
-    """Hard-label loss in {-1, +1}; -1 means the attack currently succeeds."""
-    return _per_point(np.where(_goal_met(oracle.query_label(x), spec), -1.0, 1.0))
+def decision_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Hard-label loss in {-1, +1} of each row of x (n, d); -1 means the
+    attack currently succeeds there."""
+    return np.where(_goal_met(oracle.query_label(x), spec), -1.0, 1.0)
 
 
 def smoothed_decision_loss(
@@ -228,28 +223,25 @@ def smoothed_decision_loss(
     spec: ProblemSpec,
     cfg: LossConfig,
     rng: RngStream,
-):
-    """Monte Carlo smoothing of the decision loss; N label queries per point.
+) -> np.ndarray:
+    """Monte Carlo smoothing of the decision loss of each row of x (n, d);
+    N label queries per row.
 
     The directions are uniform in the unit ball, scaled by mu: one (n*N, d)
-    stack from ``rng.unit_ball``, the N samples of the first point first.
+    stack from ``rng.unit_ball``, the N samples of the first row first.
     All of them go to the oracle in one call, clamped to [0,1]^d so real
-    oracles never see out-of-range pixels. A float for one point, an (n,)
-    array for a stack.
+    oracles never see out-of-range pixels.
     """
     if cfg.smoothing_samples < 1:
         raise ValueError("need at least one smoothing sample")
     if cfg.smoothing_mu <= 0:
         raise ValueError("smoothing mu must be positive")
-    x = _query_points(x)
-    points = np.atleast_2d(x)
-    n, d = points.shape
+    n, d = np.shape(x)
     samples = cfg.smoothing_samples
     u = rng.unit_ball(n * samples, d)
-    xq = np.clip(np.repeat(points, samples, axis=0) + cfg.smoothing_mu * u, 0.0, 1.0)
+    xq = np.clip(np.repeat(x, samples, axis=0) + cfg.smoothing_mu * u, 0.0, 1.0)
     losses = decision_loss(oracle, xq, spec).reshape(n, samples)
-    means = np.sum(losses, axis=1) / samples
-    return float(means[0]) if x.ndim == 1 else means
+    return np.sum(losses, axis=1) / samples
 
 
 def is_success(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> bool:

@@ -122,12 +122,14 @@ class MlpModel(_Classifier):
 
 @dataclass
 class Dataset:
-    inputs: np.ndarray  # (n, d) in [0,1]
+    inputs: np.ndarray  # (n, d) with d >= 1; attacks need them in [0,1]
     labels: np.ndarray  # (n,) int class indices
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.inputs.ndim != 2 or self.inputs.shape[1] < 1:
+            raise ValueError(f"inputs must be (n, d) with d >= 1, got shape {self.inputs.shape}")
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels disagree on sample count")
         if np.any(self.labels < 0):
@@ -142,12 +144,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
-
-    def to_csv(self, path) -> None:
-        """One row per sample: d values then the label."""
-        with open(path, "w") as fh:
-            for x, y in zip(self.inputs, self.labels):
-                fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
 
     @staticmethod
     def from_csv(path) -> "Dataset":
@@ -214,11 +210,6 @@ def _grads_mlp(model: MlpModel, X: np.ndarray, Y: np.ndarray):
     g_w1 = dh.T @ X
     g_b1 = dh.sum(axis=0)
     return [g_w1, g_b1, g_w2, g_b2]
-
-
-def cross_entropy(model, X: np.ndarray, Y: np.ndarray) -> float:
-    p = softmax(model.logits(X))
-    return float(-np.mean(np.log(np.clip(p[np.arange(len(Y)), Y], 1e-300, None))))
 
 
 def train(model, data: Dataset, epochs: int, lr: float, rng: RngStream, batch_size: int = 32):

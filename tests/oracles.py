@@ -12,6 +12,6 @@ class FunctionOracle(QueryOracle):
         super().__init__()
         self.scores_fn = scores_fn
 
-    def _predict(self, x):
+    def _scores(self, x):
         scores = self.scores_fn(x) if x.ndim == 1 else [self.scores_fn(row) for row in x]
         return np.asarray(scores, dtype=np.float64)

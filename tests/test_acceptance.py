@@ -191,7 +191,7 @@ def test_criterion_4_gp_correctness():
         model.set_data(X, y)
         for _ in range(5):
             x = rng.standard_normal(2)
-            mu, var = model.posterior(x)
+            (mu,), (var,) = model.posterior(x[None])
             mu0, var0 = naive_posterior(X, y, x, h)
             post_gap = max(post_gap, abs(mu - mu0), abs(var - max(var0, 0.0)))
 
@@ -227,7 +227,7 @@ def test_criterion_4_gp_correctness():
     interp = GpModel(2, hyper=GpHyper(theta0=1.0, lengthscales=np.ones(2),
                                       noise_var=0.0))
     interp.set_data(X, y)
-    interp_err = max(abs(interp.posterior(X[i])[0] - y[i]) for i in range(10))
+    interp_err = max(abs(interp.posterior(X[i][None])[0][0] - y[i]) for i in range(10))
 
     check(4, "GP correctness",
           post_gap <= 1e-8 and grad_ok and interp_err <= 1e-6,
@@ -258,14 +258,14 @@ def test_criterion_5_ei_correctness():
     l_plus = float(np.min(yv))
 
     def ei_at(x):
-        mu, var = model.posterior(x)
+        (mu,), (var,) = model.posterior(x[None])
         return expected_improvement(mu, math.sqrt(max(var, 0.0)), l_plus)
 
     grad_ok = True
     step = 1e-6
     for _ in range(10):
         x = rng.uniform(-1, 1, 2)
-        g, degenerate = ei_gradient(model, x, l_plus)
+        (g,), (degenerate,) = ei_gradient(model, x[None], l_plus)
         if degenerate:
             continue
         for i in range(2):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import FunctionOracle
 
@@ -211,6 +213,42 @@ class TestBoQueryAccounting:
         iter_cost = (3 + 2) * n + 1
         assert rep.total_queries <= budget < rep.total_queries + iter_cost
         assert rep.total_queries == len(rep.records) * iter_cost
+
+
+class RowCountingVictim:
+    """A victim that counts every row it is asked to score."""
+
+    def __init__(self, model):
+        self.model, self.rows = model, 0
+
+    def predict_scores(self, x):
+        self.rows += 1 if np.ndim(x) == 1 else len(x)
+        return self.model.predict_scores(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    feedback=st.sampled_from(list(FeedbackMode)),
+    q=st.integers(1, 8),
+    n_smooth=st.integers(1, 6),
+    budget=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zo_ledger_matches_the_victim_and_the_budget(feedback, q, n_smooth, budget, seed):
+    # class 1 wins iff x[0] > 0.5; the decision initializer crosses there
+    victim = RowCountingVictim(SoftmaxModel(np.array([[0.0, 0.0], [8.0, 0.0]]),
+                                            np.array([0.0, -4.0])))
+    decision = feedback is FeedbackMode.DECISION
+    oracle = ModelOracle(victim, scores_available=not decision)
+    loss_cfg = LossConfig(mode=feedback, smoothing_mu=0.5, smoothing_samples=n_smooth)
+    rep = run_attack(make_spec(np.array([0.3, 0.5])), AdmmConfig(rho=1.0, max_queries=budget),
+                     loss_cfg, oracle, RngStream(seed), rge_cfg=RgeConfig(q=q, nu=0.1),
+                     init_delta=np.array([0.5, 0.0]) if decision else None)
+    iter_cost = (q + 1) * (n_smooth if decision else 1) + 1
+    # the decision initializer's one check is charged before the run's own count
+    assert victim.rows == oracle.queries_used == rep.total_queries + decision
+    assert rep.total_queries == len(rep.records) * iter_cost
+    assert rep.total_queries <= budget < rep.total_queries + iter_cost
 
 
 class TestWhiteBoxConvergence:

@@ -65,9 +65,9 @@ def test_batched_score_loss_equals_per_row(softmax_victim, digits, mode, kappa):
     X = digits.inputs[:25]
     batched, single = ModelOracle(softmax_victim), ModelOracle(softmax_victim)
     values = score_loss(batched, X, spec)
-    rows = [score_loss(single, x, spec) for x in X]
-    assert all(type(v) is float for v in rows)
-    assert values.tobytes() == np.array(rows).tobytes()
+    rows = [score_loss(single, x[None], spec) for x in X]
+    assert all(r.shape == (1,) for r in rows)
+    assert values.tobytes() == np.concatenate(rows).tobytes()
     assert batched.queries_used == single.queries_used == 25
 
 
@@ -79,10 +79,10 @@ def test_batched_smoothed_loss_equals_per_row(softmax_victim, digits):
     batched, single = ModelOracle(softmax_victim), ModelOracle(softmax_victim)
     values = smoothed_decision_loss(batched, X, spec, cfg, RngStream(5))
     rng = RngStream(5)
-    rows = [smoothed_decision_loss(single, x, spec, cfg, rng) for x in X]
-    assert all(type(v) is float for v in rows)
-    assert values.tobytes() == np.array(rows).tobytes()
-    assert len(set(rows)) > 1
+    rows = [smoothed_decision_loss(single, x[None], spec, cfg, rng) for x in X]
+    assert all(r.shape == (1,) for r in rows)
+    assert values.tobytes() == np.concatenate(rows).tobytes()
+    assert len(set(np.concatenate(rows))) > 1
     assert batched.queries_used == single.queries_used == 12 * 7
 
 

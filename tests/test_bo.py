@@ -85,7 +85,7 @@ class TestEiGradient:
         return model, y
 
     def ei_at(self, model, x, l_plus):
-        mu, var = model.posterior(x)
+        (mu,), (var,) = model.posterior(x[None])
         return expected_improvement(mu, math.sqrt(max(var, 0.0)), l_plus)
 
     def test_matches_finite_differences(self):
@@ -95,7 +95,7 @@ class TestEiGradient:
         step = 1e-6
         for _ in range(10):
             x = rng.uniform(-1, 1, 2)
-            g, degenerate = ei_gradient(model, x, l_plus)
+            (g,), (degenerate,) = ei_gradient(model, x[None], l_plus)
             assert not degenerate
             for i in range(2):
                 xp = x.copy(); xp[i] += step
@@ -106,9 +106,9 @@ class TestEiGradient:
     def test_degenerate_flag_on_zero_variance(self):
         class ZeroVarModel:
             def posterior_with_grad(self, x):
-                return 0.5, 0.0, np.ones_like(x), np.zeros_like(x)
+                return np.array([0.5]), np.array([0.0]), np.ones_like(x), np.zeros_like(x)
 
-        g, degenerate = ei_gradient(ZeroVarModel(), np.array([0.3]), 1.0)
+        (g,), (degenerate,) = ei_gradient(ZeroVarModel(), np.array([[0.3]]), 1.0)
         assert degenerate
         np.testing.assert_array_equal(g, np.zeros(1))
 
@@ -129,8 +129,8 @@ class TestBatchedEiGradient:
         assert g.shape == (7, d)
         assert degenerate.dtype == bool and not degenerate.any()
         for r in range(7):
-            g1, deg1 = ei_gradient(model, Q[r], l_plus)
-            assert deg1 is False
+            (g1,), (deg1,) = ei_gradient(model, Q[r][None], l_plus)
+            assert not deg1
             np.testing.assert_allclose(g[r], g1, rtol=1e-12)
 
     def test_degenerate_rows_get_zero_gradient(self):
@@ -174,12 +174,12 @@ def reference_maximize_ei(solver, model, l_plus, rng):
     for x in starts:
         x = project_box_linf(solver.x0, x, solver.epsilon)
         for _ in range(cfg.ei_steps):
-            g, degenerate = ei_gradient(model, x, l_plus)
+            (g,), (degenerate,) = ei_gradient(model, x[None], l_plus)
             if degenerate:
                 break
             x = project_box_linf(solver.x0, x + cfg.ei_learning_rate * g, solver.epsilon)
         ends.append(x)
-    mu, var = np.array([model.posterior(x) for x in ends]).T
+    mu, var = np.array([model.posterior(x[None]) for x in ends])[:, :, 0].T
     return reference_pick(ends, mu, var, l_plus)
 
 

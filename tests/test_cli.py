@@ -19,7 +19,7 @@ from admmattack.cli import (
     main,
     summarize_reports,
 )
-from admmattack.victim import load_weights
+from admmattack.victim import digits8x8, load_weights
 
 
 def sha256(path):
@@ -88,8 +88,9 @@ class TestTrain:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["0.5,0.5,-1\n0.2,0.1,0\n", "0.5,nan,1\n0.2,0.1,0\n"],
-                             ids=["negative-label", "nan-feature"])
+    @pytest.mark.parametrize("text", ["0.5,0.5,-1\n0.2,0.1,0\n", "0.5,nan,1\n0.2,0.1,0\n",
+                                      "1\n0\n"],
+                             ids=["negative-label", "nan-feature", "label-only"])
     def test_bad_data_values_are_usage_errors(self, tmp_path, capsys, text):
         data = tmp_path / "data.csv"
         data.write_text(text)
@@ -321,6 +322,21 @@ class TestAttack:
         out = tmp_path / "r"
         assert run_attack(out, trained_weights, flag, str(data)) == EXIT_USAGE
         assert f"malformed data file {data}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [1.5, -0.25])
+    def test_data_outside_the_unit_box_is_usage_error(self, tmp_path, trained_weights, capsys,
+                                                      value):
+        # training data may leave [0, 1]; an attacked input may not
+        digits = digits8x8(n_per_class=1)
+        rows = digits.inputs[:3].copy()
+        rows[0, 0] = value
+        data = tmp_path / "data.csv"
+        data.write_text("".join(",".join(map(repr, x.tolist())) + f",{y}\n"
+                                for x, y in zip(rows, digits.labels)))
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, "--data", str(data)) == EXIT_USAGE
+        assert f"malformed data file {data}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_decision_mode_smoke(self, tmp_path, trained_weights):

@@ -5,7 +5,7 @@ import pytest
 
 from admmattack.core import RngStream
 import admmattack.gp as gp
-from admmattack.gp import TRI_INV_BLOCK, GpHyper, GpModel, _kernel_matrix, _tri_inv
+from admmattack.gp import TRI_INV_BLOCK, GpHyper, GpModel, _tri_inv
 
 
 def _scaled_r(x, y, hyper):
@@ -27,6 +27,12 @@ def matern52(x, y, hyper):
     r = _scaled_r(x, y, hyper)
     return hyper.theta0 ** 2 * math.exp(-math.sqrt(5.0) * r) * (
         1.0 + math.sqrt(5.0) * r + (5.0 / 3.0) * r * r)
+
+
+def kernel_matrix(X, Y, hyper):
+    """K(X, Y) from the package's distance and kernel pieces."""
+    D = gp._sq_dists(X, Y, hyper.lengthscales.shape[0])
+    return gp._matern52(gp._scaled_r2(D, hyper.lengthscales), hyper.theta0)[0]
 
 
 def naive_posterior(X, y, x, hyper):
@@ -71,7 +77,7 @@ class TestMatern52:
         rng = RngStream(0)
         h = GpHyper(theta0=1.3, lengthscales=rng.uniform(0.5, 2.0, 3))
         X = rng.standard_normal((6, 3))
-        K = _kernel_matrix(X, X, h)
+        K = kernel_matrix(X, X, h)
         np.testing.assert_array_equal(K, K.T)
         for i in range(6):
             for j in range(6):
@@ -93,7 +99,7 @@ class TestPosterior:
                                          noise_var=1e-8))
         model.set_data(X, y)
         for i in range(8):
-            mu, var = model.posterior(X[i])
+            (mu,), (var,) = model.posterior(X[i][None])
             assert mu == pytest.approx(y[i], abs=1e-4)
             assert var <= 1e-4
 
@@ -101,7 +107,7 @@ class TestPosterior:
         model = GpModel(1, hyper=GpHyper(theta0=2.0, lengthscales=np.ones(1),
                                          noise_var=1e-6))
         model.set_data(np.array([[0.0]]), np.array([3.0]))
-        mu, var = model.posterior(np.array([1e4]))
+        (mu,), (var,) = model.posterior(np.array([[1e4]]))
         assert abs(mu) < 1e-8
         assert var == pytest.approx(4.0, rel=1e-6)
 
@@ -117,7 +123,7 @@ class TestPosterior:
             model = GpModel(2, hyper=h)
             model.set_data(X, y)
             x = rng.standard_normal(2)
-            mu, var = model.posterior(x)
+            (mu,), (var,) = model.posterior(x[None])
             mu0, var0 = naive_posterior(X, y, x, h)
             assert mu == pytest.approx(mu0, abs=1e-8)
             assert var == pytest.approx(max(var0, 0.0), abs=1e-8)
@@ -129,7 +135,7 @@ class TestPosterior:
         model = GpModel(1, hyper=GpHyper(noise_var=1e-6))
         model.set_data(X, y)
         for x in np.linspace(-2, 2, 200):
-            _, var = model.posterior(np.array([x]))
+            _, (var,) = model.posterior(np.array([[x]]))
             assert var >= 0.0
 
     def test_requires_observations(self):
@@ -249,7 +255,7 @@ class TestFitHypers:
             X = np.sort(rng.uniform(-3, 3, (50, 1)), axis=0)
             h_true = GpHyper(theta0=1.0, lengthscales=np.array([true_ls]),
                              noise_var=1e-4)
-            K = _kernel_matrix(X, X, h_true) + 1e-8 * np.eye(50)
+            K = kernel_matrix(X, X, h_true) + 1e-8 * np.eye(50)
             y = np.linalg.cholesky(K) @ rng.standard_normal(50)
             model = GpModel(1, hyper=GpHyper(theta0=1.0,
                                              lengthscales=np.array([2.0]),
@@ -290,8 +296,7 @@ class TestBatchedPosterior:
         assert mu.shape == var.shape == (6,)
         assert dmu.shape == dvar.shape == (6, 3)
         for r in range(6):
-            m1, v1, dm1, dv1 = model.posterior_with_grad(Q[r])
-            assert isinstance(m1, float) and isinstance(v1, float)
+            (m1,), (v1,), (dm1,), (dv1,) = model.posterior_with_grad(Q[r][None])
             np.testing.assert_allclose(mu[r], m1, rtol=1e-12)
             np.testing.assert_allclose(var[r], v1, rtol=1e-12)
             np.testing.assert_allclose(dmu[r], dm1, rtol=1e-12)
@@ -305,7 +310,7 @@ class TestBatchedPosterior:
         np.testing.assert_array_equal(mu, mu_g)
         np.testing.assert_array_equal(var, var_g)
         for r in range(6):
-            m1, v1 = model.posterior(Q[r])
+            (m1,), (v1,) = model.posterior(Q[r][None])
             np.testing.assert_allclose([mu[r], var[r]], [m1, v1], rtol=1e-12)
 
     def test_bad_query_shapes_raise(self):
@@ -347,7 +352,7 @@ class TestFitWithoutThrowawayModels:
             for got, want in zip(model._factor(), fresh._factor()):
                 np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(model.nlml_grad(), fresh.nlml_grad())
-            x = rng.uniform(-1, 1, d)
+            x = rng.uniform(-1, 1, (1, d))
             assert model.posterior(x) == fresh.posterior(x)
 
 
@@ -356,7 +361,7 @@ def spd_cholesky(n, seed):
     [-1, 1]^64 under one shared lengthscale, plus noise."""
     rng = RngStream(seed)
     X = rng.uniform(-1, 1, (n, 64))
-    K = _kernel_matrix(X, X, GpHyper(theta0=1.0, lengthscales=np.array([4.0])))
+    K = kernel_matrix(X, X, GpHyper(theta0=1.0, lengthscales=np.array([4.0])))
     return np.linalg.cholesky(K + 1e-4 * np.eye(n))
 
 
@@ -408,7 +413,7 @@ def reference_nlml_grad(model):
     cached factor."""
     h = model.hyper
     X, n = model._X, model.n
-    S = _kernel_matrix(X, X, h) + h.noise_var * np.eye(n)
+    S = kernel_matrix(X, X, h) + h.noise_var * np.eye(n)
     S_inv = np.linalg.inv(S)
     beta = S_inv @ model.targets
     A = S_inv - np.outer(beta, beta)
@@ -416,7 +421,7 @@ def reference_nlml_grad(model):
     if h.lengthscales.shape[0] == 1:
         D = np.sum(D, axis=-1, keepdims=True)
     r = np.sqrt(np.sum(D * h.lengthscales ** -2.0, axis=-1))
-    K = _kernel_matrix(X, X, h)
+    K = kernel_matrix(X, X, h)
     Q = -(5.0 / 3.0) * h.theta0 ** 2 * (1.0 + math.sqrt(5) * r) * np.exp(-math.sqrt(5) * r)
     return np.concatenate([
         [np.sum(A * K)],

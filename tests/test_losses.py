@@ -36,44 +36,44 @@ def make_spec(d=2, target=1, k=2, mode=AttackMode.TARGETED, kappa=0.0):
 class TestScoreLoss:
     def test_target_dominates(self):
         oracle = fixed_oracle([0.1, 0.9])
-        assert score_loss(oracle, np.full(2, 0.5), make_spec()) == 0.0
+        assert score_loss(oracle, np.full((1, 2), 0.5), make_spec())[0] == 0.0
 
     def test_target_losing(self):
         oracle = fixed_oracle([0.9, 0.1])
-        val = score_loss(oracle, np.full(2, 0.5), make_spec())
+        val = score_loss(oracle, np.full((1, 2), 0.5), make_spec())[0]
         assert val == pytest.approx(math.log(0.9) - math.log(0.1), abs=1e-7)
         assert val == pytest.approx(2.1972246, abs=1e-6)
 
     def test_exact_tie_hits_hinge(self):
         oracle = fixed_oracle([0.5, 0.5])
-        assert score_loss(oracle, np.full(2, 0.5), make_spec()) == 0.0
+        assert score_loss(oracle, np.full((1, 2), 0.5), make_spec())[0] == 0.0
 
     def test_floor_keeps_loss_finite(self):
         oracle = fixed_oracle([1.0, 0.0])
-        val = score_loss(oracle, np.full(2, 0.5), make_spec())
+        val = score_loss(oracle, np.full((1, 2), 0.5), make_spec())[0]
         assert math.isfinite(val)
 
     def test_lower_bounded_by_minus_kappa(self):
         spec = make_spec(kappa=0.5)
         oracle = fixed_oracle([0.01, 0.99])
-        assert score_loss(oracle, np.full(2, 0.5), spec) == -0.5
+        assert score_loss(oracle, np.full((1, 2), 0.5), spec)[0] == -0.5
 
     def test_untargeted_swaps_roles(self):
         # target field holds the original label t0 in untargeted mode
         spec = make_spec(target=0, mode=AttackMode.UNTARGETED)
         oracle = fixed_oracle([0.9, 0.1])
-        val = score_loss(oracle, np.full(2, 0.5), spec)
+        val = score_loss(oracle, np.full((1, 2), 0.5), spec)[0]
         assert val == pytest.approx(math.log(0.9) - math.log(0.1), abs=1e-7)
 
     def test_label_only_oracle_rejected(self):
         model = SoftmaxModel(np.zeros((2, 2)), np.zeros(2))
         oracle = ModelOracle(model, scores_available=False)
         with pytest.raises(OracleCapabilityError):
-            score_loss(oracle, np.full(2, 0.5), make_spec())
+            score_loss(oracle, np.full((1, 2), 0.5), make_spec())
 
     def test_consumes_one_query(self):
         oracle = fixed_oracle([0.3, 0.7])
-        score_loss(oracle, np.full(2, 0.5), make_spec())
+        score_loss(oracle, np.full((1, 2), 0.5), make_spec())
         assert oracle.queries_used == 1
 
 
@@ -85,23 +85,23 @@ def linear_victim(w=4.0, b=-2.0):
 class TestDecisionLoss:
     def test_hits_target(self):
         oracle = fixed_oracle([0.1, 0.9])
-        assert decision_loss(oracle, np.full(2, 0.5), make_spec()) == -1.0
+        assert decision_loss(oracle, np.full((1, 2), 0.5), make_spec())[0] == -1.0
 
     def test_misses_target(self):
         oracle = fixed_oracle([0.9, 0.1])
-        assert decision_loss(oracle, np.full(2, 0.5), make_spec()) == 1.0
+        assert decision_loss(oracle, np.full((1, 2), 0.5), make_spec())[0] == 1.0
 
     def test_sign_flips_at_linear_boundary(self):
         # boundary of the bundled linear victim is at x = 0.5
         model = linear_victim()
         spec = ProblemSpec(x0=np.array([0.5]), target=1, num_classes=2, epsilon=1.0)
         oracle = ModelOracle(model)
-        assert decision_loss(oracle, np.array([0.5 + 1e-6]), spec) == -1.0
-        assert decision_loss(oracle, np.array([0.5 - 1e-6]), spec) == 1.0
+        assert decision_loss(oracle, np.array([[0.5 + 1e-6]]), spec)[0] == -1.0
+        assert decision_loss(oracle, np.array([[0.5 - 1e-6]]), spec)[0] == 1.0
 
     def test_consumes_one_query(self):
         oracle = fixed_oracle([0.3, 0.7])
-        decision_loss(oracle, np.full(2, 0.5), make_spec())
+        decision_loss(oracle, np.full((1, 2), 0.5), make_spec())
         assert oracle.queries_used == 1
 
 
@@ -112,19 +112,19 @@ class TestSmoothedDecisionLoss:
     def test_constant_target(self):
         oracle = fixed_oracle([0.1, 0.9])
         val = smoothed_decision_loss(
-            oracle, np.full(2, 0.5), make_spec(), self.cfg(), RngStream(1))
+            oracle, np.full((1, 2), 0.5), make_spec(), self.cfg(), RngStream(1))[0]
         assert val == -1.0
 
     def test_constant_nontarget(self):
         oracle = fixed_oracle([0.9, 0.1])
         val = smoothed_decision_loss(
-            oracle, np.full(2, 0.5), make_spec(), self.cfg(), RngStream(1))
+            oracle, np.full((1, 2), 0.5), make_spec(), self.cfg(), RngStream(1))[0]
         assert val == 1.0
 
     def test_consumes_n_queries(self):
         oracle = fixed_oracle([0.1, 0.9])
         smoothed_decision_loss(
-            oracle, np.full(2, 0.5), make_spec(), self.cfg(n=7), RngStream(1))
+            oracle, np.full((1, 2), 0.5), make_spec(), self.cfg(n=7), RngStream(1))
         assert oracle.queries_used == 7
 
     def test_values_quantized(self):
@@ -132,7 +132,7 @@ class TestSmoothedDecisionLoss:
         spec = ProblemSpec(x0=np.array([0.5]), target=1, num_classes=2, epsilon=1.0)
         oracle = ModelOracle(model)
         val = smoothed_decision_loss(
-            oracle, np.array([0.5]), spec, self.cfg(n=10, mu=0.3), RngStream(2))
+            oracle, np.array([[0.5]]), spec, self.cfg(n=10, mu=0.3), RngStream(2))[0]
         steps = round((val + 1.0) / 0.2)
         assert val == pytest.approx(-1.0 + 0.2 * steps, abs=1e-12)
 
@@ -145,13 +145,13 @@ class TestSmoothedDecisionLoss:
         n = 10**5
         cfg = LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=0.05,
                          smoothing_samples=n)
-        val = smoothed_decision_loss(oracle, np.full(2, 0.5), spec, cfg, RngStream(3))
+        val = smoothed_decision_loss(oracle, np.full((1, 2), 0.5), spec, cfg, RngStream(3))[0]
         assert abs(val) < 0.02
 
     def test_variance_shrinks_with_n(self):
         model = linear_victim()
         spec = ProblemSpec(x0=np.array([0.5]), target=1, num_classes=2, epsilon=1.0)
-        x = np.array([0.52])  # boundary-adjacent
+        x = np.array([[0.52]])  # boundary-adjacent
         rng = RngStream(4)
 
         def variance(n, reps=200):
@@ -160,7 +160,7 @@ class TestSmoothedDecisionLoss:
                 oracle = ModelOracle(model)
                 cfg = LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=0.3,
                                  smoothing_samples=n)
-                vals.append(smoothed_decision_loss(oracle, x, spec, cfg, rng.child(n, i)))
+                vals.append(smoothed_decision_loss(oracle, x, spec, cfg, rng.child(n, i))[0])
             return np.var(vals)
 
         # 1/10 scaling plus 20% slack
@@ -212,9 +212,9 @@ def test_query_ledger_exactness():
     oracle = fixed_oracle([0.4, 0.6])
     spec = make_spec()
     cfg = LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=0.5, smoothing_samples=5)
-    score_loss(oracle, np.full(2, 0.5), spec)
-    decision_loss(oracle, np.full(2, 0.5), spec)
-    smoothed_decision_loss(oracle, np.full(2, 0.5), spec, cfg, RngStream(1))
+    score_loss(oracle, np.full((1, 2), 0.5), spec)
+    decision_loss(oracle, np.full((1, 2), 0.5), spec)
+    smoothed_decision_loss(oracle, np.full((1, 2), 0.5), spec, cfg, RngStream(1))
     is_success(oracle, np.full(2, 0.5), spec)
     assert oracle.queries_used == 1 + 1 + 5 + 1
 

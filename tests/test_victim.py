@@ -10,13 +10,24 @@ from admmattack.victim import (
     SoftmaxModel,
     WeightFormatError,
     accuracy,
-    cross_entropy,
     digits8x8,
     load_weights,
     save_weights,
     softmax,
     train,
 )
+
+
+def cross_entropy(model, X, Y):
+    p = softmax(model.logits(X))
+    return float(-np.mean(np.log(np.clip(p[np.arange(len(Y)), Y], 1e-300, None))))
+
+
+def write_csv(data, path):
+    """One row per sample: d values then the label, as Dataset.from_csv reads."""
+    with open(path, "w") as fh:
+        for x, y in zip(data.inputs, data.labels):
+            fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
 
 
 class TestSoftmaxFunction:
@@ -90,7 +101,7 @@ class TestDataset:
     def test_csv_roundtrip(self, tmp_path):
         data = digits8x8(n_per_class=3, seed=3)
         path = tmp_path / "data.csv"
-        data.to_csv(path)
+        write_csv(data, path)
         back = Dataset.from_csv(path)
         np.testing.assert_array_equal(back.inputs, data.inputs)
         np.testing.assert_array_equal(back.labels, data.labels)
@@ -103,7 +114,9 @@ class TestDataset:
         ([[0.5, 0.5], [0.2, 0.1]], [-1, 0], "nonnegative"),
         ([[0.5, np.nan], [0.2, 0.1]], [1, 0], "finite"),
         ([[0.5, 0.5], [np.inf, 0.1]], [1, 0], "finite"),
-    ], ids=["negative-label", "nan-feature", "inf-feature"])
+        (np.zeros((2, 0)), [1, 0], "d >= 1"),
+        ([0.5, 0.2], [1, 0], "d >= 1"),
+    ], ids=["negative-label", "nan-feature", "inf-feature", "no-features", "one-dim"])
     def test_negative_label_or_nonfinite_feature_rejected(self, inputs, labels, message):
         with pytest.raises(ValueError, match=message):
             Dataset(np.array(inputs), np.array(labels))
