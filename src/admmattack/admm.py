@@ -173,6 +173,17 @@ def make_delta_step(
     return bo_step, solver.cfg.init_samples + solver.cfg.max_bo_iters
 
 
+def _probe(best: BestIterate, v: np.ndarray, spec: ProblemSpec, oracle: QueryOracle):
+    """One label query at x0 + v; returns (success, D(v), best), where best
+    takes v on a first success or one of lower distortion."""
+    success = is_success(oracle, np.clip(spec.x0 + v, 0.0, 1.0), spec)
+    dval = distortion_value(v, spec.distortion, spec.beta)
+    first = best.queries_at_success
+    if success and (first is None or dval < best.dist_value):
+        best = BestIterate(np.array(v), dval, oracle.queries_used if first is None else first)
+    return success, dval, best
+
+
 def admm_iterate(
     state: AttackState,
     spec: ProblemSpec,
@@ -204,17 +215,7 @@ def admm_iterate(
     u = state.u + cfg.rho * (z - delta)
 
     # The success probe is z, feasible by construction of the z-step.
-    success = is_success(oracle, np.clip(spec.x0 + z, 0.0, 1.0), spec)
-    dval = distortion_value(z, spec.distortion, spec.beta)
-    best = state.best
-    first = best.queries_at_success
-    if success and (first is None or dval < best.dist_value):
-        best = BestIterate(
-            perturbation=np.array(z),
-            dist_value=dval,
-            queries_at_success=oracle.queries_used if first is None else first,
-        )
-
+    success, dval, best = _probe(state.best, z, spec, oracle)
     new_state = AttackState(delta=delta, z=z, u=u, k=k, best=best)
     # l0, l1, l2 and linf of the best success so far, or of z before the first
     norms = lp_norms(best.perturbation if best.perturbation is not None else z)
@@ -245,15 +246,11 @@ def run_attack(
         if init_delta is None:
             raise ValueError("decision mode requires an initial perturbation")
         delta0 = project_box_linf(spec.x0, init_delta, spec.epsilon)
-        if not is_success(oracle, np.clip(spec.x0 + delta0, 0.0, 1.0), spec):
+        success, _, best = _probe(best, delta0, spec, oracle)
+        if not success:
             raise InfeasibleInitializer(
                 "initial perturbed input is not classified as the target class"
             )
-        best = BestIterate(
-            perturbation=np.array(delta0),
-            dist_value=distortion_value(delta0, spec.distortion, spec.beta),
-            queries_at_success=oracle.queries_used,
-        )
     state = AttackState(delta=delta0, z=np.array(delta0), u=np.zeros(spec.dim), best=best)
 
     delta_step, evals = make_delta_step(spec, cfg, rge_cfg, bo_cfg)

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -75,13 +74,6 @@ PRESETS = {
     },
 }
 
-NORMS = {
-    "l0": Distortion.L0,
-    "l1": Distortion.L1,
-    "l2": Distortion.L2,
-    "elastic": Distortion.ELASTIC,
-}
-
 # A pair's summary, in the order of its JSON keys and of aggregate.csv columns.
 SUMMARY_FIELDS = ("success", "queries_first_success", "l0", "l1", "l2", "linf", "total_queries")
 CSV_HEADER = ["pair", "target", *SUMMARY_FIELDS]
@@ -96,13 +88,13 @@ class RunFault(Exception):
     opposed to bad input."""
 
 
-def _on_path(verb: str, what: str, path, op):
-    """op(path), with an OSError (missing, unreadable or unwritable path) as a
-    usage error that names the path."""
+def _on_path(verb: str, what: str, path, op, error=UsageError):
+    """op(path), with an OSError (missing, unreadable or unwritable path) as
+    ``error``, by default a usage error, that names the path."""
     try:
         return op(path)
     except OSError as exc:
-        raise UsageError(f"cannot {verb} {what} {path}: {exc.strerror or exc}") from None
+        raise error(f"cannot {verb} {what} {path}: {exc.strerror or exc}") from None
 
 
 def _parse_config_file(path: str) -> dict:
@@ -226,7 +218,7 @@ def _report_to_dict(report: RunReport, pair: int, target: int, timestamp: str) -
         "target": target,
         "timestamp": timestamp,
         "config": report.config,
-        "records": [asdict(r) for r in report.records],
+        "records": [vars(r) for r in report.records],
         "summary": dict(zip(SUMMARY_FIELDS, values, strict=True)),
     }
 
@@ -245,8 +237,11 @@ def cmd_attack(args) -> int:
         raise UsageError("--budget must be positive")
     if settings["pairs"] < 1:
         raise UsageError("--pairs must be positive")
-    if settings["norm"] not in NORMS:
-        raise UsageError(f"unknown norm {settings['norm']!r}; choices: {sorted(NORMS)}")
+    try:
+        distortion = Distortion(settings["norm"])
+    except ValueError:
+        raise UsageError(f"unknown norm {settings['norm']!r}; "
+                         f"choices: {sorted(d.value for d in Distortion)}") from None
     feedback = FeedbackMode(args.feedback)
     cfg = _valid(lambda: AdmmConfig(
         rho=settings["rho"],
@@ -284,7 +279,7 @@ def cmd_attack(args) -> int:
             epsilon=settings["eps"],
             gamma=settings["gamma"],
             kappa=settings["kappa"],
-            distortion=NORMS[settings["norm"]],
+            distortion=distortion,
             beta=settings["beta"],
             attack_mode=mode,
         )
@@ -322,17 +317,21 @@ def cmd_attack(args) -> int:
             raise RunFault(f"pair {pair_idx}: {type(exc).__name__}: {exc}") from exc
 
         doc = _report_to_dict(report, pair_idx, target, timestamp)
-        (out_dir / f"pair_{pair_idx:04d}.json").write_text(
-            json.dumps(doc, indent=1) + "\n"
-        )
+        text = json.dumps(doc, indent=1) + "\n"
+        # the pairs have run, so a file that cannot be written is a fault
+        _on_path("write", "report", out_dir / f"pair_{pair_idx:04d}.json",
+                 lambda p: p.write_text(text), RunFault)
         rows.append([_csv_cell(v) for v in (pair_idx, target, *doc["summary"].values())])
         if report.success:
             n_success += 1
 
-    with open(out_dir / "aggregate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+    def write_csv(path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            writer.writerows(rows)
+
+    _on_path("write", "aggregate", out_dir / "aggregate.csv", write_csv, RunFault)
 
     asr = n_success / len(pairs)
     print(f"{len(pairs)} pairs, ASR {asr:.1%}, reports in {out_dir}")
@@ -360,10 +359,11 @@ def cmd_report(args) -> int:
         raise UsageError(f"no report files found in {args.dir}")
     docs = []
     for path in paths:
+        raw = _on_path("read", "report", path, Path.read_bytes)
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(raw)
             summarize_reports([doc])  # a well-formed report summarizes on its own
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed report {path}: {type(exc).__name__}: {exc}")
         docs.append(doc)
     summary = summarize_reports(docs)

@@ -127,12 +127,13 @@ class GpFactorizationError(RuntimeError):
 
 
 class _Factor(NamedTuple):
-    """S = K + noise * I = L L^T for the observations under one hyper, with
-    alpha = S^-1 y; the kernel K and its (dk/dr)/r Q serve the NLML gradient."""
+    """S = K + noise * I = L L^T for the observations under one hyper: L^-1,
+    alpha = S^-1 y and the NLML; the kernel K and its (dk/dr)/r Q serve the
+    NLML gradient."""
 
-    L: np.ndarray
     L_inv: np.ndarray
     alpha: np.ndarray
+    nlml: float
     K: np.ndarray
     Q: np.ndarray
 
@@ -209,7 +210,8 @@ class GpModel:
 
         The kernel is evaluated once; the noise goes onto the diagonal of a
         copy, and L^-1 is formed once, so every later solve against L or
-        L^T is a matrix product.
+        L^T is a matrix product. The NLML is 0.5 log|S| + 0.5 y^T alpha with
+        0.5 log|S| = sum(log diag L).
         """
         D = self._obs_sq_dists(hyper)
         K, Q = _matern52(_scaled_r2(D, hyper.lengthscales), hyper.theta0)
@@ -217,7 +219,9 @@ class GpModel:
         S.flat[:: self.n + 1] += hyper.noise_var
         L = self._chol_with_jitter(S)
         L_inv = _tri_inv(L)
-        return _Factor(L, L_inv, L_inv.T @ (L_inv @ self._y), K, Q)
+        alpha = L_inv.T @ (L_inv @ self._y)
+        nlml = float(np.sum(np.log(np.diag(L)))) + 0.5 * float(self._y @ alpha)
+        return _Factor(L_inv, alpha, nlml, K, Q)
 
     def _factor(self) -> _Factor:
         if self._cache is None:
@@ -273,15 +277,11 @@ class GpModel:
 
     # -- marginal likelihood --------------------------------------------
 
-    def _nlml_from(self, factor: _Factor) -> float:
-        # 0.5 log|S| = sum(log diag L)
-        return float(np.sum(np.log(np.diag(factor.L)))) + 0.5 * float(self._y @ factor.alpha)
-
     def nlml(self) -> float:
         """0.5 log|S| + 0.5 y^T S^-1 y (constant term dropped)."""
         if self.n < 1:
             raise ValueError("nlml requires at least one observation")
-        return self._nlml_from(self._factor())
+        return self._factor().nlml
 
     def _log_params(self, hyper: GpHyper | None = None) -> np.ndarray:
         h = hyper or self.hyper
@@ -345,10 +345,9 @@ class GpModel:
                 except GpFactorizationError:
                     lr *= 0.5
                     continue
-                val = self._nlml_from(factor)
-                if val <= current:
+                if factor.nlml <= current:
                     p = self._log_params(cand)
-                    current = val
+                    current = factor.nlml
                     self.hyper, self._cache = cand, factor
                     accepted = True
                     break

@@ -230,12 +230,9 @@ def smoothed_decision_loss(
     The directions are uniform in the unit ball, scaled by mu: one (n*N, d)
     stack from ``rng.unit_ball``, the N samples of the first row first.
     All of them go to the oracle in one call, clamped to [0,1]^d so real
-    oracles never see out-of-range pixels.
+    oracles never see out-of-range pixels. A decision-mode LossConfig has
+    checked mu and N.
     """
-    if cfg.smoothing_samples < 1:
-        raise ValueError("need at least one smoothing sample")
-    if cfg.smoothing_mu <= 0:
-        raise ValueError("smoothing mu must be positive")
     n, d = np.shape(x)
     samples = cfg.smoothing_samples
     u = rng.unit_ball(n * samples, d)

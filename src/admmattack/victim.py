@@ -20,10 +20,6 @@ from .core import RngStream
 from .losses import hard_label
 
 MAGIC = b"SPAV1"
-FORMAT_VERSION = 1
-
-_MODEL_CODES = {"softmax": 0, "mlp": 1}
-_CODE_MODELS = {v: k for k, v in _MODEL_CODES.items()}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -39,15 +35,42 @@ def _affine(w: np.ndarray, x, b: np.ndarray) -> np.ndarray:
 
 
 class _Classifier:
-    """Scores and labels for one point (d,) or a stack of points (n, d)."""
+    """A stack of affine layers, ReLU between them and a softmax over the
+    last; scores and labels for one point (d,) or a stack of points (n, d).
+
+    ``arrays()`` lists each layer's (out, in) matrix and then its (out,) bias.
+    """
+
+    def layers(self):
+        """(w, b) of each layer, input layer first."""
+        a = self.arrays()
+        return list(zip(a[::2], a[1::2]))
+
+    @property
+    def dim(self) -> int:
+        return self.arrays()[0].shape[1]
+
+    @property
+    def num_classes(self) -> int:
+        return self.arrays()[-2].shape[0]
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        a = self.arrays()  # indexed, not layers(): this is the query path
+        if np.asarray(x).shape[-1] != a[0].shape[1]:
+            raise ValueError("input dimension mismatch")
+        out = _affine(a[0], x, a[1])
+        for i in range(2, len(a), 2):
+            out = _affine(a[i], np.maximum(out, 0.0), a[i + 1])
+        return out
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        if np.asarray(x).shape[-1] != self.dim:
-            raise ValueError("input dimension mismatch")
         return softmax(self.logits(x))
 
     def predict_label(self, x: np.ndarray):
         return hard_label(self.predict_scores(x))
+
+    def copy(self):
+        return type(self)(*(a.copy() for a in self.arrays()))
 
 
 @dataclass
@@ -57,22 +80,8 @@ class SoftmaxModel(_Classifier):
 
     kind = "softmax"
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        return _affine(self.weights, x, self.biases)
-
     def arrays(self):
         return [self.weights, self.biases]
-
-    def copy(self) -> "SoftmaxModel":
-        return SoftmaxModel(self.weights.copy(), self.biases.copy())
 
     @staticmethod
     def init(d: int, k: int, rng: RngStream, scale: float = 0.01) -> "SoftmaxModel":
@@ -89,26 +98,11 @@ class MlpModel(_Classifier):
     kind = "mlp"
 
     @property
-    def dim(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.w2.shape[0]
-
-    @property
     def hidden(self) -> int:
         return self.w1.shape[0]
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        h = np.maximum(_affine(self.w1, x, self.b1), 0.0)
-        return _affine(self.w2, h, self.b2)
-
     def arrays(self):
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
     @staticmethod
     def init(d: int, k: int, h: int, rng: RngStream, scale: float = 0.1) -> "MlpModel":
@@ -118,6 +112,10 @@ class MlpModel(_Classifier):
             scale * rng.standard_normal((k, h)),
             np.zeros(k),
         )
+
+
+# A weight file's model code indexes this tuple.
+_MODELS = (SoftmaxModel, MlpModel)
 
 
 @dataclass
@@ -186,30 +184,23 @@ def digits8x8(
 # -- training ----------------------------------------------------------
 
 
-def _grads_softmax(model: SoftmaxModel, X: np.ndarray, Y: np.ndarray):
-    """Cross-entropy gradients for a minibatch; Y is int labels."""
-    n = X.shape[0]
-    logits = X @ model.weights.T + model.biases
-    p = softmax(logits)
-    p[np.arange(n), Y] -= 1.0
-    p /= n
-    return [p.T @ X, p.sum(axis=0)]
-
-
-def _grads_mlp(model: MlpModel, X: np.ndarray, Y: np.ndarray):
-    n = X.shape[0]
-    pre = X @ model.w1.T + model.b1
-    h = np.maximum(pre, 0.0)
-    logits = h @ model.w2.T + model.b2
-    p = softmax(logits)
-    p[np.arange(n), Y] -= 1.0
-    p /= n
-    g_w2 = p.T @ h
-    g_b2 = p.sum(axis=0)
-    dh = (p @ model.w2) * (pre > 0.0)
-    g_w1 = dh.T @ X
-    g_b1 = dh.sum(axis=0)
-    return [g_w1, g_b1, g_w2, g_b2]
+def _grads(model, X: np.ndarray, Y: np.ndarray):
+    """Cross-entropy gradients for a minibatch, in ``arrays()`` order; Y is
+    int labels."""
+    layers = model.layers()
+    acts = [X]  # the input of each layer
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    w, b = layers[-1]
+    p = softmax(acts[-1] @ w.T + b)
+    p[np.arange(len(Y)), Y] -= 1.0
+    p /= len(Y)
+    grads = []
+    for i in reversed(range(len(layers))):
+        grads[:0] = [p.T @ acts[i], p.sum(axis=0)]
+        if i:
+            p = (p @ layers[i][0]) * (acts[i] > 0.0)
+    return grads
 
 
 def train(model, data: Dataset, epochs: int, lr: float, rng: RngStream, batch_size: int = 32):
@@ -217,12 +208,11 @@ def train(model, data: Dataset, epochs: int, lr: float, rng: RngStream, batch_si
     if data.n == 0:
         raise ValueError("empty dataset")
     model = model.copy()
-    grads_fn = _grads_softmax if isinstance(model, SoftmaxModel) else _grads_mlp
     for _ in range(epochs):
         order = rng.permutation(data.n)
         for start in range(0, data.n, batch_size):
             idx = order[start : start + batch_size]
-            gs = grads_fn(model, data.inputs[idx], data.labels[idx])
+            gs = _grads(model, data.inputs[idx], data.labels[idx])
             for arr, g in zip(model.arrays(), gs):
                 arr -= lr * g
     return model
@@ -245,7 +235,7 @@ def save_weights(model, path) -> None:
     arrays = model.arrays()
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<I", _MODEL_CODES[model.kind])
+    blob += struct.pack("<I", _MODELS.index(type(model)))
     blob += struct.pack("<I", len(arrays))
     for arr in arrays:
         blob += struct.pack("<I", arr.ndim)
@@ -286,7 +276,7 @@ def load_weights(path):
             )
         raise WeightFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     (model_code,) = struct.unpack("<I", take(4, "model code"))
-    if model_code not in _CODE_MODELS:
+    if model_code >= len(_MODELS):
         raise WeightFormatError(f"unknown model code {model_code}")
     (n_arrays,) = struct.unpack("<I", take(4, "array count"))
     shapes = []
@@ -300,16 +290,16 @@ def load_weights(path):
         raw = take(8 * count, f"array {i} data")
         arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
 
-    kind = _CODE_MODELS[model_code]
+    cls = _MODELS[model_code]
     try:
-        model = SoftmaxModel(*arrays) if kind == "softmax" else MlpModel(*arrays)
+        model = cls(*arrays)
     except TypeError as exc:
-        raise WeightFormatError(f"array count mismatch for {kind}: {exc}") from exc
+        raise WeightFormatError(f"array count mismatch for {cls.kind}: {exc}") from exc
     # each layer is a (out, in) matrix and an (out,) bias, fed by the layer before
     fan_in = None
-    for w, b in zip(arrays[::2], arrays[1::2]):
+    for w, b in model.layers():
         if w.ndim != 2 or b.shape != w.shape[:1] or fan_in not in (None, w.shape[1]):
-            raise WeightFormatError(f"inconsistent {kind} array shapes: "
+            raise WeightFormatError(f"inconsistent {cls.kind} array shapes: "
                                     f"{[a.shape for a in arrays]}")
         fan_in = w.shape[0]
     return model

@@ -289,6 +289,15 @@ class TestAttack:
         assert "pair 1" in err
         assert "non-finite loss value" in err
 
+    @pytest.mark.parametrize("blocked", ["pair_0001.json", "aggregate.csv"])
+    def test_unwritable_report_file_is_a_run_fault_naming_it(self, tmp_path, trained_weights,
+                                                             capsys, blocked):
+        out = tmp_path / "r"
+        (out / blocked).mkdir(parents=True)  # a directory where the file goes
+        assert run_attack(out, trained_weights, "--budget", "200") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "cannot write" in err and blocked in err
+
     @pytest.mark.parametrize("extra", [
         ["--rho", "-1"], ["--q", "0"], ["--nu", "0"], ["--alpha", "0"], ["--eps", "0"],
         ["--gamma", "-1"], ["--kappa", "-1"], ["--feedback", "decision", "--n-smooth", "0"],
@@ -387,6 +396,17 @@ class TestReport:
     def test_malformed_json_is_usage_error(self, tmp_path):
         (tmp_path / "pair_0000.json").write_text("{not json")
         assert main(["report", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("make, says", [
+        (lambda path: path.mkdir(), "cannot read report"),
+        (lambda path: path.write_bytes(b'{"pair": "\xff"}'), "malformed report"),
+    ], ids=["a-directory", "not-utf8"])
+    def test_unreadable_report_is_usage_error_naming_it(self, tmp_path, capsys, make, says):
+        self.make_reports(tmp_path, [self.summary(True, 100, 2.0, 150)])
+        make(tmp_path / "pair_0001.json")
+        assert main(["report", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert says in err and "pair_0001.json" in err
 
     @pytest.mark.parametrize("text", [
         "{}",

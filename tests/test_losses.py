@@ -127,6 +127,15 @@ class TestSmoothedDecisionLoss:
             oracle, np.full((1, 2), 0.5), make_spec(), self.cfg(n=7), RngStream(1))
         assert oracle.queries_used == 7
 
+    def test_no_samples_fails_at_the_oracle_and_charges_nothing(self):
+        # LossConfig checks N only in decision mode; the oracle then refuses
+        # the empty stack of smoothing queries
+        oracle = fixed_oracle([0.1, 0.9])
+        cfg = LossConfig(mode=FeedbackMode.SCORE, smoothing_samples=0)
+        with pytest.raises(ValueError, match=r"got shape \(0, 2\)"):
+            smoothed_decision_loss(oracle, np.full((1, 2), 0.5), make_spec(), cfg, RngStream(1))
+        assert oracle.queries_used == 0
+
     def test_values_quantized(self):
         model = linear_victim()
         spec = ProblemSpec(x0=np.array([0.5]), target=1, num_classes=2, epsilon=1.0)
