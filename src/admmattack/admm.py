@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,7 @@ class BestIterate:
     perturbation: np.ndarray | None = None
     dist_value: float = math.inf
     queries_at_success: int | None = None  # None until the first success
+    norms: tuple = (0, 0.0, 0.0, 0.0)  # lp_norms(perturbation), taken when it is set
 
 
 @dataclass
@@ -75,6 +76,8 @@ class AttackState:
     u: np.ndarray
     k: int = 0
     best: BestIterate = field(default_factory=BestIterate)
+    # the run's z-step problem, built by its first iteration; only its a changes
+    zstep_input: prox.ZStepInput | None = None
 
 
 @dataclass
@@ -125,9 +128,14 @@ def delta_zo_step(
     b = state.z + state.u / cfg.rho
     eta = cfg.alpha * math.sqrt(state.k)
     g_hat, base = rge_with_base(loss, state.delta, rge_cfg, rng)
-    if not np.all(np.isfinite(g_hat)):
+    if not np.isfinite(g_hat).all():
         raise ValueError("non-finite gradient estimate")
-    return (eta * state.delta + cfg.rho * b - g_hat) / (eta + cfg.rho), base
+    delta = eta * state.delta  # the update above, formed in place
+    b *= cfg.rho
+    delta += b
+    delta -= g_hat
+    delta /= eta + cfg.rho
+    return delta, base
 
 
 def make_loss(
@@ -139,7 +147,8 @@ def make_loss(
     """Attack loss over a stack of perturbations (n, d), n values, clamping
     query points to [0,1]^d."""
     def loss(delta):
-        x = np.clip(spec.x0 + delta, 0.0, 1.0)
+        x = spec.x0 + delta
+        x.clip(0.0, 1.0, out=x)
         if loss_cfg.mode is FeedbackMode.SCORE:
             return score_loss(oracle, x, spec)
         return smoothed_decision_loss(oracle, x, spec, loss_cfg, rng)
@@ -176,11 +185,13 @@ def make_delta_step(
 def _probe(best: BestIterate, v: np.ndarray, spec: ProblemSpec, oracle: QueryOracle):
     """One label query at x0 + v; returns (success, D(v), best), where best
     takes v on a first success or one of lower distortion."""
-    success = is_success(oracle, np.clip(spec.x0 + v, 0.0, 1.0), spec)
+    x = spec.x0 + v
+    success = is_success(oracle, x.clip(0.0, 1.0, out=x), spec)
     dval = distortion_value(v, spec.distortion, spec.beta)
     first = best.queries_at_success
     if success and (first is None or dval < best.dist_value):
-        best = BestIterate(np.array(v), dval, oracle.queries_used if first is None else first)
+        best = BestIterate(np.array(v), dval, oracle.queries_used if first is None else first,
+                           lp_norms(v))
     return success, dval, best
 
 
@@ -197,31 +208,30 @@ def admm_iterate(
 
     delta_step is the first element of make_delta_step's result.
     """
-    k = state.k + 1
-    a = state.delta - state.u / cfg.rho
-    z = prox.zstep(
-        prox.ZStepInput(
-            a=a,
-            x0=spec.x0,
-            epsilon=spec.epsilon,
-            gamma=spec.gamma,
-            rho=cfg.rho,
-            distortion=spec.distortion,
-            beta=spec.beta,
-        )
-    )
+    zin = state.zstep_input
+    if zin is None:
+        zin = prox.ZStepInput(a=np.empty(spec.dim), x0=spec.x0, epsilon=spec.epsilon,
+                              gamma=spec.gamma, rho=cfg.rho, distortion=spec.distortion,
+                              beta=spec.beta)
+    np.subtract(state.delta, state.u / cfg.rho, out=zin.a)
+    z = prox.zstep(zin)
 
-    delta, loss_val = delta_step(replace(state, z=z, k=k), loss, rng)
-    u = state.u + cfg.rho * (z - delta)
+    # the state after the z-step; the rest of the iteration completes it
+    new = AttackState(delta=state.delta, z=z, u=state.u, k=state.k + 1, best=state.best,
+                      zstep_input=zin)
+    new.delta, loss_val = delta_step(new, loss, rng)
+    # u + rho (z - delta), on the new array
+    new.u = z - new.delta
+    new.u *= cfg.rho
+    new.u += state.u
 
     # The success probe is z, feasible by construction of the z-step.
-    success, dval, best = _probe(state.best, z, spec, oracle)
-    new_state = AttackState(delta=delta, z=z, u=u, k=k, best=best)
+    success, dval, new.best = _probe(state.best, z, spec, oracle)
     # l0, l1, l2 and linf of the best success so far, or of z before the first
-    norms = lp_norms(best.perturbation if best.perturbation is not None else z)
-    record = IterationRecord(k, loss_val, dval, *norms,
+    norms = new.best.norms if new.best.perturbation is not None else lp_norms(z)
+    record = IterationRecord(new.k, loss_val, dval, *norms,
                              cumulative_queries=oracle.queries_used, success=success)
-    return new_state, record
+    return new, record
 
 
 def run_attack(
@@ -289,6 +299,6 @@ def run_attack(
         report.success = True
         report.queries_first_success = best.queries_at_success - start_queries
         report.final_perturbation = best.perturbation
-        report.final_norms = lp_norms(best.perturbation)
+        report.final_norms = best.norms
     report.total_queries = oracle.queries_used - start_queries
     return report

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import sys
@@ -442,12 +443,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# OpenBLAS functions that set its thread count: NumPy's bundled build
+# (64-bit integer interface, prefixed names), then plain OpenBLAS names.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _pin_blas_threads() -> None:
+    """Run NumPy's bundled OpenBLAS on one thread, if a known setter resolves.
+
+    OpenBLAS's results for large matrices (BO's GP) depend on its thread
+    count, so the CLI pins one thread to give the same bytes whatever
+    OPENBLAS_NUM_THREADS says; where no setter resolves, it runs unpinned.
+    The library itself leaves BLAS to its caller.
+    """
+    site = Path(np.__file__).parent.parent
+    # where NumPy's wheels keep their bundled libraries, by platform
+    for lib in (lib for pattern in ("numpy.libs/*openblas*", "numpy/.libs/*openblas*",
+                                    "numpy/.dylibs/*openblas*")
+                for lib in sorted(site.glob(pattern))):
+        try:
+            handle = ctypes.CDLL(str(lib))  # already loaded by NumPy: the same handle
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    _pin_blas_threads()
     try:
         return args.func(args)
     except RunFault as exc:

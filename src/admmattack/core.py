@@ -7,6 +7,7 @@ perturbations are signed deltas of the same length.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,18 +118,23 @@ class RngStream:
     def unit_ball(self, n: int, d: int) -> np.ndarray:
         """n uniform draws inside the unit Euclidean ball, as an (n, d) stack.
 
-        Per row, a standard_normal(d) direction and then one uniform() for
-        its radius; all rows are scaled to unit norm after the draws.
+        Per row, a standard_normal(d) direction and then one random() for
+        its radius (random() gives the bits of uniform(0, 1)); all rows are
+        scaled to unit norm after the draws.
         """
         g = np.empty((n, d))
         r = np.empty(n)
-        for i in range(n):
-            self.gen.standard_normal(out=g[i])
-            r[i] = self.gen.uniform() ** (1.0 / d)  # a Python float power
+        normal, random = self.gen.standard_normal, self.gen.random
+        power = 1.0 / d
+        for i, row in enumerate(g):
+            normal(out=row)
+            r[i] = random() ** power  # a Python float power
         norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0])
-        if not np.all(norms):
+        if not norms.all():
             raise ValueError("a unit-ball direction drew an all-zero normal vector")
-        return g / norms * r[:, None]
+        g /= norms
+        g *= r[:, None]
+        return g
 
 
 def feasible_bounds(x0: np.ndarray, epsilon: float):
@@ -167,10 +173,11 @@ def project_box_linf(x0: np.ndarray, v: np.ndarray, epsilon: float) -> np.ndarra
 def lp_norms(v: np.ndarray):
     """(l0, l1, l2, linf) of a perturbation; l0 uses the reporting threshold."""
     v = as_vector(v)
-    l0 = int(np.count_nonzero(np.abs(v) > L0_THRESHOLD))
-    l1 = float(np.sum(np.abs(v)))
-    l2 = float(np.sqrt(np.sum(v * v)))
-    linf = float(np.max(np.abs(v))) if v.size else 0.0
+    a = np.abs(v)
+    l0 = int(np.count_nonzero(a > L0_THRESHOLD))
+    l1 = float(a.sum())
+    l2 = math.sqrt((v * v).sum())
+    linf = float(a.max()) if v.size else 0.0
     return l0, l1, l2, linf
 
 
@@ -180,9 +187,9 @@ def distortion_value(v: np.ndarray, distortion: Distortion, beta: float = 0.0) -
     if distortion is Distortion.L0:
         return float(np.count_nonzero(np.abs(v) > L0_THRESHOLD))
     if distortion is Distortion.L1:
-        return float(np.sum(np.abs(v)))
+        return float(np.abs(v).sum())
     if distortion is Distortion.L2:
-        return float(np.sum(v * v))
+        return float((v * v).sum())
     if distortion is Distortion.ELASTIC:
-        return float(np.sum(np.abs(v)) + 0.5 * beta * np.sum(v * v))
+        return float(np.abs(v).sum() + 0.5 * beta * (v * v).sum())
     raise ValueError(f"unknown distortion {distortion}")

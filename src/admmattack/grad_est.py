@@ -38,11 +38,17 @@ def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
     d = delta.shape[0]
     u = rng.standard_normal((cfg.q, d))
     u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])  # row norms, bitwise equal to np.linalg.norm
-    values = np.asarray(loss(np.vstack([delta, delta + cfg.nu * u])), dtype=np.float64)
+    points = np.empty((cfg.q + 1, d))
+    points[0] = delta
+    np.multiply(u, cfg.nu, out=points[1:])
+    points[1:] += delta
+    values = np.asarray(loss(points), dtype=np.float64)
     base = float(values[0])
     if not math.isfinite(base):
         raise ValueError("non-finite loss value at the base point")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("non-finite loss value at a perturbed point")
-    grad = np.sum((values[1:] - base)[:, None] * u, axis=0)
-    return (d / (cfg.nu * cfg.q)) * grad, base
+    u *= (values[1:] - base)[:, None]
+    grad = u.sum(axis=0)
+    grad *= d / (cfg.nu * cfg.q)
+    return grad, base

@@ -44,6 +44,10 @@ class OracleCapabilityError(RuntimeError):
     """Raised when a score query hits a label-only oracle."""
 
 
+class OracleReplyError(RuntimeError):
+    """The victim's reply to a query broke the oracle contract; nothing was charged."""
+
+
 def _query_points(x) -> np.ndarray:
     """One point (d,) or a stack (n, d) with n >= 1, as contiguous float64."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
@@ -62,13 +66,36 @@ def _per_point(values: np.ndarray):
     return values.item() if values.ndim == 0 else values
 
 
+def _checked_scores(scores, x: np.ndarray) -> np.ndarray:
+    """Scores shaped (K,) for one point or (n, K) for a stack, K >= 1, all
+    finite and non-negative."""
+    s = np.asarray(scores)
+    if s.ndim != x.ndim or s.shape[:-1] != x.shape[:-1] or s.shape[-1] == 0 \
+            or s.dtype.kind not in "fiu":
+        raise OracleReplyError(f"scores of shape {s.shape} and dtype {s.dtype} for a query "
+                               f"of shape {x.shape}; expected (K,) or (n, K) numbers")
+    if not (s.min() >= 0 and s.max() < np.inf):  # NaN fails both
+        raise OracleReplyError("scores must be finite and non-negative")
+    return s
+
+
+def _checked_labels(labels, x: np.ndarray):
+    """One non-negative integer for one point, n of them for a stack."""
+    arr = np.asarray(labels)
+    if arr.shape != x.shape[:-1] or arr.dtype.kind not in "iu" or arr.min() < 0:
+        raise OracleReplyError(f"labels {arr!r} for a query of shape {x.shape}; "
+                               "expected one non-negative integer per point")
+    return labels
+
+
 class QueryOracle:
     """Base query oracle with a ledger.
 
     Both queries take one point (d,) or a stack (n, d) and charge one query
-    per row once the victim has answered; a call that raises charges
-    nothing. Subclasses implement ``_scores`` (full class scores); an oracle
-    with ``scores_available`` false is label-only and refuses score queries.
+    per row once the victim's reply has passed its checks; a call that
+    raises charges nothing, and a malformed reply raises OracleReplyError.
+    Subclasses implement ``_scores`` (full class scores); an oracle with
+    ``scores_available`` false is label-only and refuses score queries.
     """
 
     scores_available = True
@@ -79,14 +106,14 @@ class QueryOracle:
     def query_scores(self, x: np.ndarray) -> np.ndarray:
         if not self.scores_available:
             raise OracleCapabilityError("oracle is label-only and does not expose class scores")
-        return self._charged(self._scores, x)
+        return self._charged(self._scores, _checked_scores, x)
 
     def query_label(self, x: np.ndarray):
-        return self._charged(self._label, x)
+        return self._charged(self._label, _checked_labels, x)
 
-    def _charged(self, answer, x):
+    def _charged(self, answer, check, x):
         x = _query_points(x)
-        out = answer(x)
+        out = check(answer(x), x)
         self.queries_used += x.shape[0] if x.ndim == 2 else 1
         return out
 
@@ -139,13 +166,20 @@ class ProcessOracle(QueryOracle):
             raise RuntimeError("oracle process closed its output stream")
         return reply.strip()
 
+    def _replies(self, x, parse):
+        """Each row's reply read by ``parse``, row for row."""
+        try:
+            return _rowwise(lambda row: parse(self._roundtrip(row)), x)
+        except ValueError as exc:
+            raise OracleReplyError(f"unreadable reply from the oracle process: {exc}") from None
+
     def _scores(self, x):
-        return _rowwise(lambda row: [float(t) for t in self._roundtrip(row).split(",")], x)
+        return self._replies(x, lambda reply: [float(t) for t in reply.split(",")])
 
     def _label(self, x):
         if self.scores_available:
             return super()._label(x)
-        return _per_point(_rowwise(lambda row: int(self._roundtrip(row)), x))
+        return _per_point(self._replies(x, int))
 
     def close(self):
         if self.proc.stdin:
@@ -199,13 +233,16 @@ def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> np.ndar
     Targeted: max(max_{j != t} log P_j - log P_t, -kappa). Untargeted swaps
     roles with t0 = spec.target holding the original label.
     """
-    logp = np.log(np.clip(oracle.query_scores(x), PROB_FLOOR, None))
+    logp = np.maximum(oracle.query_scores(x), PROB_FLOOR)
+    np.log(logp, out=logp)
     t = spec.target
-    others = np.max(np.delete(logp, t, axis=-1), axis=-1)
+    own = logp[..., t].copy()
+    logp[..., t] = -np.inf  # so the max is over the other classes, each >= log(PROB_FLOOR)
+    others = logp.max(axis=-1)
     if spec.attack_mode is AttackMode.TARGETED:
-        val = others - logp[..., t]
+        val = others - own
     else:
-        val = logp[..., t] - others
+        val = own - others
     # the semantics of Python's max(val, -kappa), signed zeros included
     floor = -spec.kappa
     return np.where(floor > val, floor, val)
@@ -235,10 +272,12 @@ def smoothed_decision_loss(
     """
     n, d = np.shape(x)
     samples = cfg.smoothing_samples
-    u = rng.unit_ball(n * samples, d)
-    xq = np.clip(np.repeat(x, samples, axis=0) + cfg.smoothing_mu * u, 0.0, 1.0)
+    xq = rng.unit_ball(n * samples, d)
+    xq *= cfg.smoothing_mu
+    xq += np.repeat(x, samples, axis=0)
+    xq.clip(0.0, 1.0, out=xq)
     losses = decision_loss(oracle, xq, spec).reshape(n, samples)
-    return np.sum(losses, axis=1) / samples
+    return losses.sum(axis=1) / samples
 
 
 def is_success(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> bool:

@@ -13,7 +13,7 @@ make the nonzero branch lose; exact ties go to 0 for sparsity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,12 @@ from .core import Distortion, as_vector, feasible_bounds
 
 @dataclass(frozen=True)
 class ZStepInput:
+    """The z-step problem at a; lo and hi are computed once, at construction.
+
+    Only ``a`` changes between the iterations of a run, so a run may keep
+    one input and rewrite ``a`` in place before each zstep call.
+    """
+
     a: np.ndarray
     x0: np.ndarray
     epsilon: float
@@ -29,6 +35,8 @@ class ZStepInput:
     rho: float
     distortion: Distortion = Distortion.L2
     beta: float = 0.0
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a))
@@ -41,11 +49,14 @@ class ZStepInput:
             raise ValueError("beta must be nonnegative")
         if self.a.shape != self.x0.shape:
             raise ValueError("a and x0 must have the same length")
+        lo, hi = feasible_bounds(self.x0, self.epsilon)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 def _clamp(c: np.ndarray, inp: ZStepInput) -> np.ndarray:
-    lo, hi = feasible_bounds(inp.x0, inp.epsilon)
-    return np.clip(c, lo, hi)
+    """c clamped in place to the feasible interval; c is the caller's own."""
+    return c.clip(inp.lo, inp.hi, out=c)
 
 
 def zstep_l2(inp: ZStepInput) -> np.ndarray:
@@ -67,7 +78,7 @@ def zstep_l1(inp: ZStepInput) -> np.ndarray:
 def zstep_elastic(inp: ZStepInput) -> np.ndarray:
     """Soft threshold by gamma/rho, scale by 1/(1 + gamma*beta/rho), clamp."""
     c = _soft_threshold(inp.a, inp.gamma / inp.rho)
-    c = c / (1.0 + inp.gamma * inp.beta / inp.rho)
+    c /= 1.0 + inp.gamma * inp.beta / inp.rho
     return _clamp(c, inp)
 
 

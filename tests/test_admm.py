@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import FunctionOracle
 
+from admmattack import prox
 from admmattack.admm import (
     AdmmConfig,
     AttackState,
@@ -25,6 +26,8 @@ from admmattack.core import (
     ProblemSpec,
     RngStream,
     box_feasible,
+    distortion_value,
+    lp_norms,
     project_box_linf,
 )
 from admmattack.grad_est import RgeConfig
@@ -249,6 +252,47 @@ def test_zo_ledger_matches_the_victim_and_the_budget(feedback, q, n_smooth, budg
     assert victim.rows == oracle.queries_used == rep.total_queries + decision
     assert rep.total_queries == len(rep.records) * iter_cost
     assert rep.total_queries <= budget < rep.total_queries + iter_cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distortion=st.sampled_from(list(Distortion)),
+    feedback=st.sampled_from(list(FeedbackMode)),
+    gamma=st.sampled_from([0.0, 0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_record_norms_are_those_of_the_best_success_so_far(distortion, feedback, gamma, seed):
+    # class 1 wins iff x[0] + 0.25 x[1] > 0.6; the decision initializer crosses there
+    victim = SoftmaxModel(np.array([[0.0, 0.0, 0.0], [8.0, 2.0, 0.0]]), np.array([0.0, -4.8]))
+    decision = feedback is FeedbackMode.DECISION
+    spec = make_spec(np.array([0.3, 0.5, 0.4]), gamma=gamma, distortion=distortion, beta=0.5)
+    init_delta = np.array([0.5, 0.2, -0.1]) if decision else None
+    zs = []
+    real_zstep = prox.zstep
+
+    def zstep(inp):  # keeps every z the run's iterations probe
+        zs.append(real_zstep(inp))
+        return zs[-1]
+
+    prox.zstep = zstep
+    try:
+        rep = run_attack(spec, AdmmConfig(rho=1.0, max_queries=600),
+                         LossConfig(mode=feedback, smoothing_mu=0.5, smoothing_samples=3),
+                         ModelOracle(victim, scores_available=not decision), RngStream(seed),
+                         rge_cfg=RgeConfig(q=4, nu=0.2), init_delta=init_delta)
+    finally:
+        prox.zstep = real_zstep
+    assert len(zs) == len(rep.records)
+    best = best_dval = None
+    if decision:  # the initializer is the first success
+        best = project_box_linf(spec.x0, init_delta, spec.epsilon)
+        best_dval = distortion_value(best, distortion, spec.beta)
+    for z, rec in zip(zs, rep.records):
+        assert rec.dist_value == distortion_value(z, distortion, spec.beta)
+        if rec.success and (best is None or rec.dist_value < best_dval):
+            best, best_dval = z, rec.dist_value
+        assert (rec.l0, rec.l1, rec.l2, rec.linf) == lp_norms(z if best is None else best)
+    assert rep.final_norms == (lp_norms(best) if best is not None else (0, 0.0, 0.0, 0.0))
 
 
 class TestWhiteBoxConvergence:

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from admmattack.cli import (
     main,
     summarize_reports,
 )
+from admmattack.losses import ModelOracle
 from admmattack.victim import digits8x8, load_weights
 
 
@@ -289,6 +294,22 @@ class TestAttack:
         assert "pair 1" in err
         assert "non-finite loss value" in err
 
+    def test_a_malformed_victim_reply_is_a_run_fault_naming_the_pair(
+            self, tmp_path, trained_weights, monkeypatch, capsys):
+        class NanVictim:
+            def __init__(self, model):
+                self.model = model
+
+            def predict_scores(self, x):
+                return self.model.predict_scores(x) * np.nan
+
+        monkeypatch.setattr(cli, "ModelOracle", lambda model, scores_available: ModelOracle(
+            NanVictim(model), scores_available=scores_available))
+        code = run_attack(tmp_path / "r", trained_weights, "--budget", "200")
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "pair 0" in err and "OracleReplyError" in err
+
     @pytest.mark.parametrize("blocked", ["pair_0001.json", "aggregate.csv"])
     def test_unwritable_report_file_is_a_run_fault_naming_it(self, tmp_path, trained_weights,
                                                              capsys, blocked):
@@ -492,3 +513,21 @@ class TestUsage:
         assert main(args + ["--out", str(out)]) == EXIT_USAGE
         assert str(out) in capsys.readouterr().err
         assert pairs_run == []
+
+
+def test_bo_batch_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, trained_weights):
+    # the GP's (100, 100) matrices give OpenBLAS thread-dependent bits
+    # unless the CLI pins one thread
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "admmattack.cli", "attack", "--weights",
+             str(trained_weights), "--backend", "bo", "--budget", "200", "--pairs", "1",
+             "--seed", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (EXIT_OK, EXIT_NO_SUCCESS), proc.stderr
+        csvs.append((out / "aggregate.csv").read_bytes())
+    assert csvs[0] == csvs[1]

@@ -89,6 +89,29 @@ class TestLpNorms:
         assert lp_norms(np.array([1e-9, 0.2]))[0] == 1
 
 
+def reference_norms(v, beta):
+    """lp_norms and each distortion_value in their np.sum / np.max form."""
+    l0 = int(np.count_nonzero(np.abs(v) > 1e-8))
+    norms = (l0, float(np.sum(np.abs(v))), float(np.sqrt(np.sum(v * v))),
+             float(np.max(np.abs(v))))
+    dists = (float(l0), float(np.sum(np.abs(v))), float(np.sum(v * v)),
+             float(np.sum(np.abs(v)) + 0.5 * beta * np.sum(v * v)))
+    return norms, dists
+
+
+def test_norms_equal_the_sum_form_bitwise():
+    rng = RngStream(12)
+    order = (Distortion.L0, Distortion.L1, Distortion.L2, Distortion.ELASTIC)
+    for _ in range(200):
+        d = int(rng.integers(1, 100))
+        v = rng.standard_normal(d) * float(rng.uniform(1e-9, 10.0))
+        v[rng.uniform(size=d) < 0.3] = 0.0
+        beta = float(rng.uniform(0.0, 2.0))
+        norms, dists = reference_norms(v, beta)
+        assert lp_norms(v) == norms
+        assert tuple(distortion_value(v, dist, beta) for dist in order) == dists
+
+
 class TestDistortionValue:
     def test_l2_is_squared(self):
         assert distortion_value(np.array([3.0, 4.0]), Distortion.L2) == 25.0
@@ -132,6 +155,9 @@ class TestRngStream:
                 out[...] = 0.0
 
             def uniform(self):
+                return 0.5
+
+            def random(self):
                 return 0.5
 
         rng = RngStream(0)

@@ -128,3 +128,30 @@ def test_config_validation():
         RgeConfig(q=0)
     with pytest.raises(ValueError):
         RgeConfig(nu=0.0)
+
+
+def reference_rge_stacked(loss, delta, cfg, rng):
+    """The vstack / np.sum form: a new (Q + 1, d) stack, then a weighted sum."""
+    d = delta.shape[0]
+    u = rng.standard_normal((cfg.q, d))
+    u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])
+    values = loss(np.vstack([delta, delta + cfg.nu * u]))
+    base = float(values[0])
+    grad = np.sum((values[1:] - base)[:, None] * u, axis=0)
+    return (d / (cfg.nu * cfg.q)) * grad, base
+
+
+def test_estimate_equals_the_stacked_form_bitwise():
+    rng = RngStream(9)
+    for trial in range(30):
+        d = int(rng.integers(1, 70))
+        cfg = RgeConfig(q=int(rng.integers(1, 30)), nu=float(rng.uniform(0.01, 1.0)))
+        delta = rng.standard_normal(d)
+        w = rng.standard_normal(d)
+        loss = lambda V: np.sin(V @ w) + np.sum(V * V, axis=1)
+        ours, ref = RngStream(200).child(trial), RngStream(200).child(trial)
+        g, base = rge_with_base(loss, delta, cfg, ours)
+        g_ref, base_ref = reference_rge_stacked(loss, delta, cfg, ref)
+        assert g.tobytes() == g_ref.tobytes()
+        assert base == base_ref
+        assert ours.gen.bit_generator.state == ref.gen.bit_generator.state

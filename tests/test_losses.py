@@ -8,10 +8,12 @@ from oracles import FunctionOracle
 
 from admmattack.core import AttackMode, ProblemSpec, RngStream
 from admmattack.losses import (
+    PROB_FLOOR,
     FeedbackMode,
     LossConfig,
     ModelOracle,
     OracleCapabilityError,
+    OracleReplyError,
     ProcessOracle,
     decision_loss,
     hard_label,
@@ -75,6 +77,37 @@ class TestScoreLoss:
         oracle = fixed_oracle([0.3, 0.7])
         score_loss(oracle, np.full((1, 2), 0.5), make_spec())
         assert oracle.queries_used == 1
+
+
+def reference_score_loss(oracle, x, spec):
+    """The np.delete form of the loss: the max over a copy without column t."""
+    logp = np.log(np.clip(oracle.query_scores(x), PROB_FLOOR, None))
+    t = spec.target
+    others = np.max(np.delete(logp, t, axis=-1), axis=-1)
+    if spec.attack_mode is AttackMode.TARGETED:
+        val = others - logp[..., t]
+    else:
+        val = logp[..., t] - others
+    floor = -spec.kappa
+    return np.where(floor > val, floor, val)
+
+
+@pytest.mark.parametrize("mode", list(AttackMode))
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_score_loss_equals_the_delete_form_bitwise(mode, kappa):
+    k, n = 10, 40
+    table = np.random.default_rng(11).dirichlet(np.full(k, 0.3), size=n)
+    table[0] = 0.0
+    table[0, 3] = 1.0  # one-hot: exact zeros beside a one
+    table[1, :] = 1.0 / k  # all tied
+    table[2, 5] = 0.0  # an exact zero in one column
+    oracle = FunctionOracle(lambda row: table[int(row[0])])
+    x = np.arange(n, dtype=np.float64)[:, None]  # row i asks for table[i]
+    for target in range(k):
+        spec = ProblemSpec(x0=np.zeros(1), target=target, num_classes=k, epsilon=1.0,
+                           kappa=kappa, attack_mode=mode)
+        ours, ref = score_loss(oracle, x, spec), reference_score_loss(oracle, x, spec)
+        assert ours.tobytes() == ref.tobytes()
 
 
 def linear_victim(w=4.0, b=-2.0):
@@ -253,5 +286,79 @@ class TestProcessOracle:
             assert oracle.query_label(x) == model.predict_label(x)
             with pytest.raises(OracleCapabilityError):
                 oracle.query_scores(x)
+        finally:
+            oracle.close()
+
+
+class ScriptedLabels(FunctionOracle):
+    """Replies to label queries with a fixed answer, whatever the point."""
+
+    def __init__(self, labels):
+        super().__init__(lambda x: np.array([0.5, 0.5]))
+        self.labels = labels
+
+    def _label(self, x):
+        return self.labels
+
+
+class TestReplyChecks:
+    """A malformed reply raises OracleReplyError and charges nothing."""
+
+    @pytest.mark.parametrize("scores", [
+        [0.5, np.nan], [0.5, np.inf], [0.5, -np.inf], [1.5, -0.5], [[0.5, 0.5]], [],
+    ], ids=["nan", "inf", "minus-inf", "negative", "a stack for a point", "no classes"])
+    def test_bad_scores_for_a_point(self, scores):
+        oracle = FunctionOracle(lambda x: np.array(scores))
+        with pytest.raises(OracleReplyError):
+            oracle.query_scores(np.full(2, 0.5))
+        assert oracle.queries_used == 0
+
+    def test_bad_scores_in_a_stack(self):
+        oracle = FunctionOracle(lambda x: np.array([0.5, np.nan] if x[0] > 0.5 else [0.5, 0.5]))
+        with pytest.raises(OracleReplyError):
+            oracle.query_scores(np.array([[0.1, 0.1], [0.9, 0.1]]))
+        assert oracle.queries_used == 0
+
+    def test_a_stack_answered_with_the_wrong_row_count(self):
+        oracle = FunctionOracle(lambda x: np.array([0.5, 0.5]))
+        oracle._scores = lambda x: np.full((len(x) - 1, 2), 0.5)
+        with pytest.raises(OracleReplyError):
+            oracle.query_scores(np.full((3, 2), 0.5))
+        assert oracle.queries_used == 0
+
+    @pytest.mark.parametrize("labels, x", [
+        (-1, np.full(2, 0.5)),
+        (1.0, np.full(2, 0.5)),
+        (True, np.full(2, 0.5)),
+        (np.array([1]), np.full(2, 0.5)),
+        (np.array([0, -2]), np.full((2, 2), 0.5)),
+        (np.array([0, 1, 1]), np.full((2, 2), 0.5)),
+        (np.array([0.0, 1.0]), np.full((2, 2), 0.5)),
+    ], ids=["negative", "float", "bool", "a stack for a point", "negative in a stack",
+            "too many", "float stack"])
+    def test_bad_labels(self, labels, x):
+        oracle = ScriptedLabels(labels)
+        with pytest.raises(OracleReplyError):
+            oracle.query_label(x)
+        assert oracle.queries_used == 0
+
+    def test_good_replies_are_charged(self):
+        assert ScriptedLabels(np.int64(3)).query_label(np.full(2, 0.5)) == 3
+        oracle = ScriptedLabels(np.array([0, 2]))
+        oracle.query_label(np.full((2, 2), 0.5))
+        oracle.query_scores(np.full((2, 2), 0.5))
+        assert oracle.queries_used == 4
+
+    def test_label_client_of_a_scores_child(self, tmp_path):
+        model = SoftmaxModel(np.array([[0.0, 0.0], [2.0, -1.0]]), np.array([0.0, 0.5]))
+        path = tmp_path / "victim.weights"
+        save_weights(model, path)
+        argv = [sys.executable, "-m", "admmattack.cli", "serve",
+                "--weights", str(path), "--mode", "scores"]
+        oracle = ProcessOracle(argv, mode="label")
+        try:
+            with pytest.raises(OracleReplyError):
+                oracle.query_label(np.array([0.9, 0.1]))
+            assert oracle.queries_used == 0
         finally:
             oracle.close()
