@@ -35,10 +35,10 @@ class BoConfig:
     def __post_init__(self):
         if min(self.init_samples, self.ei_restarts, self.ei_steps, self.max_observations) < 1:
             raise ValueError("BO counts must be positive")
-        if self.ei_learning_rate <= 0:
-            raise ValueError("ei learning rate must be positive")
-        if self.max_bo_iters < 0:
-            raise ValueError("max_bo_iters must be nonnegative")
+        if not (self.ei_learning_rate > 0 and self.fit_learning_rate > 0):  # NaN fails too
+            raise ValueError("learning rates must be positive")
+        if min(self.max_bo_iters, self.fit_steps) < 0:
+            raise ValueError("max_bo_iters and fit_steps must be nonnegative")
 
 
 def _norm_pdf(z):
@@ -67,17 +67,21 @@ def ei_gradient(model: GpModel, x: np.ndarray, l_plus: float):
     """Analytic EI gradient at the rows of x (R, d): the (R, d) gradients and
     an (R,) bool array of degenerate flags.
 
-    grad EI = -Phi(z) grad mu + phi(z) grad sigma with z = (l_plus - mu)/sigma.
+    grad EI = -Phi(z) grad mu + phi(z) grad sigma with z = (l_plus - mu)/sigma,
+    formed in place in the gradient arrays the posterior returns.
     Degenerate (sigma = 0) rows get a zero gradient and flag True.
     """
     mu, var, dmu, dvar = model.posterior_with_grad(x)
     degenerate = var <= 0.0
     sigma = np.sqrt(np.where(degenerate, 1.0, var))
-    dsigma = dvar / (2.0 * sigma)[:, None]
     z = (l_plus - mu) / sigma
-    grad = -_norm_cdf(z)[:, None] * dmu + _norm_pdf(z)[:, None] * dsigma
-    grad[degenerate] = 0.0
-    return grad, degenerate
+    sigma *= 2.0
+    dvar /= sigma[:, None]  # grad sigma
+    dvar *= _norm_pdf(z)[:, None]
+    dmu *= -_norm_cdf(z)[:, None]
+    dmu += dvar
+    dmu[degenerate] = 0.0
+    return dmu, degenerate
 
 
 class BoDeltaSolver:
@@ -122,8 +126,12 @@ class BoDeltaSolver:
 
         The incumbent and ei_restarts - 1 random draws start; all step
         together, one batched EI gradient per step, and a start stops where
-        its posterior variance is degenerate. The first start with the
-        strictly largest final EI wins; a NaN EI counts as -1.
+        its posterior variance is degenerate. The ascent ends early at a
+        fixed point: when a step drops no start and leaves every start
+        bitwise where it was, the next gradient call would see the same
+        stack under the same model, l_plus and box, and so would every call
+        after it. The first start with the strictly largest final EI wins;
+        a NaN EI counts as -1.
         """
         cfg = self.cfg
         lo, hi = self.lo, self.hi
@@ -131,11 +139,18 @@ class BoDeltaSolver:
         x = np.clip(np.vstack([incumbent, self._sample(cfg.ei_restarts - 1, rng)]), lo, hi)
         active = np.arange(len(x))
         for _ in range(cfg.ei_steps):
-            g, degenerate = ei_gradient(model, x[active], l_plus)
-            active, g = active[~degenerate], g[~degenerate]
-            if active.size == 0:
+            stack = x[active]
+            g, degenerate = ei_gradient(model, stack, l_plus)
+            dropped = degenerate.any()
+            if dropped:
+                keep = ~degenerate
+                active, g, stack = active[keep], g[keep], stack[keep]
+                if active.size == 0:
+                    break
+            moved = np.clip(stack + cfg.ei_learning_rate * g, lo, hi)
+            if not dropped and moved.tobytes() == stack.tobytes():
                 break
-            x[active] = np.clip(x[active] + cfg.ei_learning_rate * g, lo, hi)
+            x[active] = moved
         mu, var = model.posterior(x)
         ei = expected_improvement(mu, np.sqrt(var), l_plus)
         ei[np.isnan(ei)] = -1.0

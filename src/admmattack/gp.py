@@ -52,7 +52,7 @@ class GpHyper:
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))
         object.__setattr__(self, "lengthscales", ls)
-        if self.theta0 <= 0 or np.any(ls <= 0):
+        if self.theta0 <= 0 or (ls <= 0).any():
             raise ValueError("kernel hyperparameters must be positive")
         if self.noise_var < 0:
             raise ValueError("noise variance must be nonnegative")
@@ -69,7 +69,8 @@ def _matern52(r2: np.ndarray, theta0: float):
     t2 = theta0 ** 2
     a = np.sqrt(r2)
     a *= SQRT5
-    e = np.exp(-a)
+    e = np.negative(a)
+    np.exp(e, out=e)
     a += 1.0  # 1 + sqrt5 r
     q = a * e
     q *= -(5.0 / 3.0) * t2
@@ -91,8 +92,8 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray, n_ls: int, Y_sq: np.ndarray | None =
     if n_ls > 1:
         return (X[:, None, :] - Y[None, :, :]) ** 2
     if Y_sq is None:
-        Y_sq = np.sum(Y * Y, axis=1)
-    d2 = np.sum(X * X, axis=1)[:, None] + Y_sq[None, :] - 2.0 * (X @ Y.T)
+        Y_sq = (Y * Y).sum(axis=1)
+    d2 = (X * X).sum(axis=1)[:, None] + Y_sq[None, :] - 2.0 * (X @ Y.T)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -115,7 +116,8 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     if n <= TRI_INV_BLOCK:
         return np.linalg.inv(L)
     h = n // 2
-    out = np.zeros_like(L)
+    out = np.empty_like(L)
+    out[:h, h:] = 0.0
     A_inv = out[:h, :h] = _tri_inv(L[:h, :h])
     C_inv = out[h:, h:] = _tri_inv(L[h:, h:])
     out[h:, :h] = -(C_inv @ (L[h:, :h] @ A_inv))
@@ -175,7 +177,7 @@ class GpModel:
         if X.ndim != 2 or X.shape[1] != self.dim or X.shape[0] != y.shape[0]:
             raise ValueError("bad observation shapes")
         self._X = X.copy()
-        self._X_sq = np.sum(self._X * self._X, axis=1)
+        self._X_sq = (self._X * self._X).sum(axis=1)
         self._y = y.copy()
         self._D = None
         self._cache = None
@@ -216,11 +218,11 @@ class GpModel:
         D = self._obs_sq_dists(hyper)
         K, Q = _matern52(_scaled_r2(D, hyper.lengthscales), hyper.theta0)
         S = K.copy()
-        S.flat[:: self.n + 1] += hyper.noise_var
+        S.ravel()[:: self.n + 1] += hyper.noise_var
         L = self._chol_with_jitter(S)
         L_inv = _tri_inv(L)
         alpha = L_inv.T @ (L_inv @ self._y)
-        nlml = float(np.sum(np.log(np.diag(L)))) + 0.5 * float(self._y @ alpha)
+        nlml = float(np.log(L.diagonal()).sum()) + 0.5 * float(self._y @ alpha)
         return _Factor(L_inv, alpha, nlml, K, Q)
 
     def _factor(self) -> _Factor:
@@ -249,7 +251,8 @@ class GpModel:
         k, q = _matern52(_scaled_r2(D, h.lengthscales), h.theta0)
         f = self._factor()
         v = f.L_inv @ k.T
-        return q, v, k @ f.alpha, np.maximum(h.theta0 ** 2 - np.sum(v * v, axis=0), 0.0)
+        var = h.theta0 ** 2 - (v * v).sum(axis=0)
+        return q, v, k @ f.alpha, np.maximum(var, 0.0, out=var)
 
     def posterior(self, x: np.ndarray):
         """Posterior mean and variance (clipped at zero) at the rows of x
@@ -269,10 +272,14 @@ class GpModel:
             # sum_i w_i dk_i/dx for weights w (R, n): dk_i/dx_j is
             # q_i (x_j - X_ij) / ls_j^2, and (dk/dr)/r = q is finite at r = 0
             wq = w * q
-            return (wq.sum(axis=1)[:, None] * X - wq @ self._X) * ls_inv2
+            out = wq.sum(axis=1)[:, None] * X
+            out -= wq @ self._X
+            out *= ls_inv2
+            return out
 
         dmu = weighted_dk(f.alpha[None, :])
-        dvar = -2.0 * weighted_dk((f.L_inv.T @ v).T)  # weights S^-1 k^T
+        dvar = weighted_dk((f.L_inv.T @ v).T)  # weights S^-1 k^T
+        dvar *= -2.0
         return mu, var, dmu, dvar
 
     # -- marginal likelihood --------------------------------------------
@@ -311,15 +318,19 @@ class GpModel:
         h = self.hyper
         n = self.n
         f = self._factor()
-        A = f.L_inv.T @ f.L_inv - np.outer(f.alpha, f.alpha)
+        A = f.L_inv.T @ f.L_inv
+        A -= f.alpha[:, None] * f.alpha[None, :]
         D = self._obs_sq_dists(h)
         # dS/dlog theta0 = 2K; dK/dlog ls_i = (dK/dr) dr/dlog ls_i = -Q D_i / ls_i^2
         # (D summed over dimensions for a shared lengthscale);
         # dS/dlog sigma_n = 2 sigma_n^2 I
+        d_theta0 = float(A.ravel() @ f.K.ravel())
+        d_noise = float(A.trace()) * h.noise_var
+        A *= f.Q
         return np.concatenate([
-            [float(A.ravel() @ f.K.ravel())],
-            -0.5 * ((A * f.Q).ravel() @ D.reshape(n * n, -1)) * h.lengthscales ** -2.0,
-            [float(np.trace(A)) * h.noise_var],
+            [d_theta0],
+            -0.5 * (A.ravel() @ D.reshape(n * n, -1)) * h.lengthscales ** -2.0,
+            [d_noise],
         ])
 
     def fit_hypers(self, steps: int = 50, learning_rate: float = 0.1) -> GpHyper:

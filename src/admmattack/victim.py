@@ -23,9 +23,9 @@ MAGIC = b"SPAV1"
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _affine(w: np.ndarray, x, b: np.ndarray) -> np.ndarray:

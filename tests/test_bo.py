@@ -7,8 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import admmattack
+import gp_reference as ref
+from gp_reference import same_bits
+from admmattack import bo
 from admmattack.bo import (
     BoConfig,
     BoDeltaSolver,
@@ -469,3 +474,177 @@ def test_config_validation():
         BoConfig(ei_learning_rate=0.0)
     with pytest.raises(ValueError):
         BoConfig(max_bo_iters=-1)
+
+
+class TestEiGradientSameBits:
+    """ei_gradient equals, bit for bit, its formula before it scaled the
+    posterior gradients in place (tests/gp_reference.py)."""
+
+    @pytest.mark.parametrize("d, n_ls, n", [(64, 1, 100), (3, 3, 40)], ids=["shared-64", "ard-3"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_equals_the_reference(self, d, n_ls, n, rows):
+        rng = RngStream(130 + d)
+        X = rng.uniform(-1, 1, (n, d))
+        model = GpModel(d, hyper=GpHyper(lengthscales=np.ones(n_ls)))
+        model.set_data(X, np.sum(X * X, axis=1) + 0.1 * rng.standard_normal(n))
+        model.fit_hypers(steps=3)
+        Q = rng.uniform(-1, 1, (rows, d))
+        Q[0] = X[int(np.argmin(model.targets))]  # the incumbent, where EI starts
+        l_plus = float(np.min(model.targets))
+        got = ei_gradient(model, Q, l_plus)
+        want = ref.ei_gradient_from(*ref.posterior_with_grad(model, Q), l_plus)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_degenerate_rows_equal_the_reference(self):
+        mu, var = np.array([0.5, 0.2, -0.1, 0.3]), np.array([0.0, 0.3, 0.0, 1e-300])
+        dmu, dvar = RngStream(131).standard_normal((2, 4, 3))
+
+        class Given:
+            def posterior_with_grad(self, x):
+                return mu.copy(), var.copy(), dmu.copy(), dvar.copy()
+
+        got = ei_gradient(Given(), np.zeros((4, 3)), 0.4)
+        want = ref.ei_gradient_from(mu, var, dmu, dvar, 0.4)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def small_problem(d, n, epsilon, seed, corner=False, **cfg):
+    """A solver with n observations of a quadratic inside its box; with
+    corner, the best observation sits at a corner of the box, so the
+    incumbent start does too."""
+    rng = RngStream(seed)
+    solver = BoDeltaSolver(rng.uniform(0, 1, d), epsilon, BoConfig(**cfg))
+    X = solver._sample(n, rng)
+    f = np.sum((X - 0.3 * epsilon) ** 2, axis=1)
+    if corner:
+        X[0] = np.where(rng.uniform(0, 1, d) < 0.5, solver.lo, solver.hi)
+        f[0] = -1.0
+    solver._query(X, lambda _: f)
+    return solver, rng
+
+
+class CountingEiGradient:
+    def __init__(self, ei_gradient):
+        self.ei_gradient, self.calls = ei_gradient, 0
+
+    def __call__(self, model, x, l_plus):
+        self.calls += 1
+        return self.ei_gradient(model, x, l_plus)
+
+
+class StillWhileFull:
+    """A GP whose first start is degenerate, and whose gradient is zero at
+    every start while the stack still holds all `full` starts: how a row's
+    gradient may depend on the stack it is computed in."""
+
+    def __init__(self, model, full):
+        self.model, self.full = model, full
+
+    @property
+    def targets(self):
+        return self.model.targets
+
+    def posterior(self, x):
+        return self.model.posterior(x)
+
+    def posterior_with_grad(self, x):
+        mu, var, dmu, dvar = self.model.posterior_with_grad(x)
+        if len(x) == self.full:
+            var[0] = 0.0
+            dmu[:] = 0.0
+            dvar[:] = 0.0
+        return mu, var, dmu, dvar
+
+
+class TestFixedPointExit:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(2, 8),
+        epsilon=st.sampled_from([1e-3, 0.05, 0.5]),
+        shared=st.booleans(),
+        log_ls=st.floats(-9.5, 1.0),
+        corner=st.booleans(),
+        ei_learning_rate=st.sampled_from([0.1, 10.0]),
+        ei_steps=st.integers(1, 40),
+        ei_restarts=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_ascent_that_takes_every_step(
+            self, d, n, epsilon, shared, log_ls, corner, ei_learning_rate, ei_steps,
+            ei_restarts, seed):
+        solver, _ = small_problem(d, n, epsilon, seed, corner, ei_steps=ei_steps,
+                                  ei_restarts=ei_restarts, ei_learning_rate=ei_learning_rate)
+        model = GpModel(d, hyper=GpHyper(theta0=1.0,
+                                         lengthscales=np.full(1 if shared else d,
+                                                              math.exp(log_ls)),
+                                         noise_var=1e-4))
+        model.set_data(solver._X, solver._f)
+        l_plus = float(np.min(model.targets))
+        got = solver._maximize_ei(model, l_plus, RngStream(seed + 1))
+        want = ref.maximize_ei_every_step(solver, model, l_plus, RngStream(seed + 1))
+        assert same_bits(got[0], want[0])
+        assert same_bits(got[1], want[1])
+
+    def test_starts_pinned_at_corners_stop_early(self, monkeypatch):
+        # a tiny box and a long step: every start lands on a corner and the
+        # gradient keeps pushing it outward
+        solver, _ = small_problem(3, 6, 1e-3, 140, corner=True, ei_learning_rate=10.0)
+        model = GpModel(3, hyper=GpHyper(theta0=1.0, lengthscales=np.full(3, 1e-3),
+                                         noise_var=1e-4))
+        model.set_data(solver._X, solver._f)
+        l_plus = float(np.min(model.targets))
+        counting = CountingEiGradient(bo.ei_gradient)
+        monkeypatch.setattr(bo, "ei_gradient", counting)
+        got = solver._maximize_ei(model, l_plus, RngStream(141))
+        assert 1 < counting.calls < solver.cfg.ei_steps
+        want = ref.maximize_ei_every_step(solver, model, l_plus, RngStream(141))
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    def test_a_step_that_drops_a_start_is_not_a_fixed_point(self):
+        # the remaining starts stand still on the first step, but the next
+        # gradient call sees a smaller stack, which may move them
+        solver, _ = small_problem(2, 6, 0.5, 144, ei_restarts=5)
+        model = GpModel(2, hyper=GpHyper(theta0=0.5, lengthscales=np.full(2, 0.4),
+                                         noise_var=1e-4))
+        model.set_data(solver._X, solver._f)
+        l_plus = float(np.min(model.targets))
+        got = solver._maximize_ei(StillWhileFull(model, 5), l_plus, RngStream(145))
+        want = ref.maximize_ei_every_step(solver, StillWhileFull(model, 5), l_plus,
+                                          RngStream(145))
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        start = np.clip(solver._X[int(np.argmin(solver._f))], solver.lo, solver.hi)
+        assert not same_bits(got[0], start)
+
+    def test_one_gradient_call_when_no_start_moves(self, monkeypatch):
+        # at lengthscale 1e-6 the kernel between distinct points underflows to
+        # zero, so the EI gradient is exactly zero at every start; the unit
+        # noise keeps the variance at the incumbent observation positive
+        solver, _ = small_problem(2, 5, 0.5, 142, ei_restarts=5)
+        model = GpModel(2, hyper=GpHyper(theta0=1.0, lengthscales=np.full(2, 1e-6),
+                                         noise_var=1.0))
+        model.set_data(solver._X, solver._f)
+        l_plus = float(np.min(model.targets))
+        counting = CountingEiGradient(bo.ei_gradient)
+        monkeypatch.setattr(bo, "ei_gradient", counting)
+        got = solver._maximize_ei(model, l_plus, RngStream(143))
+        assert counting.calls == 1
+        want = ref.maximize_ei_every_step(solver, model, l_plus, RngStream(143))
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("bad", [
+    {"fit_steps": -1},
+    {"fit_learning_rate": 0.0},
+    {"fit_learning_rate": -0.1},
+    {"fit_learning_rate": math.nan},
+    {"ei_learning_rate": math.nan},
+    {"ei_learning_rate": -1.0},
+])
+def test_config_rejects_bad_fit_and_ascent_settings(bad):
+    with pytest.raises(ValueError):
+        BoConfig(**bad)
+
+
+def test_config_accepts_a_fit_of_zero_steps():
+    assert BoConfig(fit_steps=0).fit_steps == 0

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import gp_reference as ref
+from gp_reference import same_bits
 from admmattack.core import RngStream
 import admmattack.gp as gp
 from admmattack.gp import TRI_INV_BLOCK, GpHyper, GpModel, _tri_inv
@@ -467,3 +469,49 @@ class TestProductFormGradients:
         fresh = GpModel(d, hyper=model.hyper)
         fresh.set_data(model._X, model.targets)
         np.testing.assert_array_equal(g, fresh.nlml_grad())
+
+
+def bo_like_model(n, d, n_ls, seed, fit_steps=3):
+    """A GP on n BO-like deltas in [-1, 1]^d, fitted a few steps the way the
+    BO delta-step fits it."""
+    rng = RngStream(seed)
+    X = rng.uniform(-1, 1, (n, d))
+    model = GpModel(d, hyper=GpHyper(lengthscales=np.ones(n_ls)))
+    model.set_data(X, np.sum(X * X, axis=1) + 0.1 * rng.standard_normal(n))
+    model.fit_hypers(steps=fit_steps)
+    return model, rng
+
+
+class TestSameBitsAsThePreInPlaceFormulas:
+    """The factor, the posterior gradient and the NLML gradient equal, bit
+    for bit, the formulas they had before they worked in place
+    (tests/gp_reference.py)."""
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 99, 100])
+    def test_tri_inv(self, n):
+        L = spd_cholesky(n, seed=90 + n)
+        assert same_bits(_tri_inv(L), ref.tri_inv(L))
+
+    @pytest.mark.parametrize("d, n_ls, n", [(64, 1, 100), (64, 1, 99), (64, 1, 20), (3, 3, 40)],
+                             ids=["shared-64-100", "shared-64-99", "shared-64-20", "ard-3-40"])
+    def test_factor_and_nlml(self, d, n_ls, n):
+        model, _ = bo_like_model(n, d, n_ls, seed=100 + n)
+        for got, want in zip(model._factor(), ref.factor(model, model.hyper)):
+            assert same_bits(got, want)
+        assert same_bits(model.nlml(), ref.factor(model, model.hyper)[2])
+
+    @pytest.mark.parametrize("d, n_ls, n", [(64, 1, 100), (3, 3, 40)], ids=["shared-64", "ard-3"])
+    def test_nlml_grad(self, d, n_ls, n):
+        model, _ = bo_like_model(n, d, n_ls, seed=110 + d)
+        assert same_bits(model.nlml_grad(), ref.nlml_grad(model))
+
+    @pytest.mark.parametrize("d, n_ls, n", [(64, 1, 100), (3, 3, 40)], ids=["shared-64", "ard-3"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_posterior_with_grad(self, d, n_ls, n, rows):
+        model, rng = bo_like_model(n, d, n_ls, seed=120 + d)
+        Q = rng.uniform(-1, 1, (rows, d))
+        Q[0] = model._X[7]  # at an observation, where r = 0
+        for got, want in zip(model.posterior_with_grad(Q), ref.posterior_with_grad(model, Q)):
+            assert same_bits(got, want)
+        for got, want in zip(model.posterior(Q), ref.posterior_terms(model, Q)[2:]):
+            assert same_bits(got, want)

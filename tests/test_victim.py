@@ -55,6 +55,45 @@ class TestSoftmaxFunction:
         np.testing.assert_allclose(p.sum(axis=1), np.ones(5), atol=1e-12)
 
 
+def softmax_through_functions(logits):
+    """softmax as written with np.max and np.sum."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+class TestSoftmaxSameBits:
+    """softmax through the array methods equals the np.max/np.sum form bit
+    for bit, on the logits of both bundled models and on edge cases."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = RngStream(150)
+        return [SoftmaxModel.init(64, 10, rng.child(0), scale=1.0),
+                MlpModel.init(64, 10, 16, rng.child(1), scale=1.0)]
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 21])
+    def test_on_model_logits(self, models, rows):
+        rng = RngStream(151)
+        X = rng.uniform(0, 1, 64 if rows is None else (rows, 64))
+        for model in models:
+            logits = model.logits(X)
+            got, want = softmax(logits), softmax_through_functions(logits)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert model.predict_scores(X).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("logits", [
+        np.zeros(10),
+        np.array([3.0, 3.0, -1.0, 3.0]),  # a tied maximum
+        np.array([[1e4, 0.0, -1e4], [7.0, 7.0, 7.0]]),
+        np.array([[700.0, 709.0, -745.0], [-1e300, 1e300, 0.0]]),
+        RngStream(152).standard_normal((5, 7)) * 50.0,
+    ], ids=["zeros", "tied", "extreme", "huge", "wide"])
+    def test_on_edge_logits(self, logits):
+        got, want = softmax(logits), softmax_through_functions(logits)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestModels:
     def test_softmax_known_scores(self):
         model = SoftmaxModel(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
