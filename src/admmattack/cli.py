@@ -1,7 +1,7 @@
 """Command-line harness: train victims, run attack batches, report results.
 
-Config precedence is flags > config file (``key = value`` lines) > built-in
-preset; a config key must be one of the preset's settings. A single
+Settings resolve as flags > config file (``key = value`` lines) > the
+built-in SETTINGS; a config key must be one of SETTINGS. A single
 ``--seed`` deterministically derives every module seed, so identical
 invocations produce byte-identical aggregate CSVs (timestamps are isolated
 in one JSON field).
@@ -14,6 +14,7 @@ import csv
 import ctypes
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -42,37 +43,21 @@ EXIT_NO_SUCCESS = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-PRESETS = {
-    "mnist-like": {
-        "norm": "l2",
-        "eps": 1.0,
-        "gamma": 1.0,
-        "rho": 10.0,
-        "alpha": 1.0,
-        "q": 20,
-        "nu": 0.5,
-        "mu": 1.0,
-        "n_smooth": 10,
-        "kappa": 0.0,
-        "beta": 1.0,
-        "budget": 20000,
-        "pairs": 50,
-    },
-    "synthetic-1d": {
-        "norm": "l2",
-        "eps": 1.0,
-        "gamma": 0.1,
-        "rho": 1.0,
-        "alpha": 1.0,
-        "q": 5,
-        "nu": 0.5,
-        "mu": 0.1,
-        "n_smooth": 10,
-        "kappa": 0.0,
-        "beta": 1.0,
-        "budget": 180,
-        "pairs": 1,
-    },
+# The attack settings; each is also an ``attack`` flag and a config key.
+SETTINGS = {
+    "norm": "l2",
+    "eps": 1.0,
+    "gamma": 1.0,
+    "rho": 10.0,
+    "alpha": 1.0,
+    "q": 20,
+    "nu": 0.5,
+    "mu": 1.0,
+    "n_smooth": 10,
+    "kappa": 0.0,
+    "beta": 1.0,
+    "budget": 20000,
+    "pairs": 50,
 }
 
 # A pair's summary, in the order of its JSON keys and of aggregate.csv columns.
@@ -114,12 +99,11 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _resolve_settings(args) -> dict:
-    """Merge preset < config file < explicit flags into one settings dict.
+    """Merge SETTINGS < config file < explicit flags into one settings dict.
 
-    The preset's keys are the settings; each one is also an ``attack`` flag.
-    A config value is converted to the type of the preset's value.
+    A config value is converted to the type of the built-in value.
     """
-    settings = dict(PRESETS[args.preset])
+    settings = dict(SETTINGS)
     if args.config:
         for key, val in _parse_config_file(args.config).items():
             if key not in settings:
@@ -387,6 +371,13 @@ def cmd_serve(args) -> int:
         serve_oracle(model, mode=args.mode)
     except ValueError as exc:
         raise RunFault(str(exc)) from exc
+    except BrokenPipeError:
+        # the unsent reply would fail again when Python flushes stdout at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise RunFault("cannot write a reply: the client closed the reply stream "
+                       "(stdout)") from None
     return EXIT_OK
 
 
@@ -416,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--data", default="digits8x8")
     p_attack.add_argument("--backend", choices=("zo", "bo"), default="zo")
     p_attack.add_argument("--feedback", choices=("score", "decision"), default="score")
-    for key, value in PRESETS["mnist-like"].items():  # each setting is a flag of its type
+    for key, value in SETTINGS.items():  # each setting is a flag of its type
         p_attack.add_argument("--" + key.replace("_", "-"), type=type(value))
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.add_argument("--out", default="reports")
@@ -426,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--init-from",
                           help="dataset supplying decision-mode target exemplars")
     p_attack.add_argument("--config", help="key = value config file")
-    p_attack.add_argument("--preset", choices=tuple(PRESETS), default="mnist-like")
     p_attack.set_defaults(func=cmd_attack)
 
     p_report = sub.add_parser("report", help="summarize attack reports")

@@ -7,8 +7,9 @@ against L is a matrix product. The kernel matrix is evaluated once per
 factorization and kept with it for the NLML gradient. The posterior takes
 a stack of query points and returns per-row arrays. Hyperparameters are
 fitted by gradient descent on the negative log marginal likelihood in
-log-space (the printed NLML drops the constant (n/2) log 2pi term, which
-does not affect optimization). Prior mean is fixed at zero.
+log-space, with the step count and learning rate its caller passes (BO
+passes BoConfig's); the printed NLML drops the constant (n/2) log 2pi
+term, which does not affect optimization. Prior mean is fixed at zero.
 
 For dimensions above ISOTROPIC_DIM_CUTOFF a single shared lengthscale is
 fitted: with the handful of observations collected per step,
@@ -333,12 +334,14 @@ class GpModel:
             [d_noise],
         ])
 
-    def fit_hypers(self, steps: int = 50, learning_rate: float = 0.1) -> GpHyper:
+    def fit_hypers(self, steps: int, learning_rate: float) -> GpHyper:
         """Backtracking gradient descent on nlml in log-space.
 
         Accepted steps never increase nlml; bounds are enforced by clipping
         in log-space. A trial hyper is factored on this model's data, and an
-        accepted trial's factor becomes the cached one. Returns (and
+        accepted trial's factor becomes the cached one. An accepted trial
+        with the current hyperparameters, bit for bit, ends the fit: every
+        later step would repeat its gradient, trial and factor. Returns (and
         installs) the fitted hyperparameters.
         """
         if self.n < 2:
@@ -357,6 +360,11 @@ class GpModel:
                     lr *= 0.5
                     continue
                 if factor.nlml <= current:
+                    h = self.hyper
+                    # theta0 and the noise are positive, so == compares their bits
+                    if (cand.theta0 == h.theta0 and cand.noise_var == h.noise_var
+                            and cand.lengthscales.tobytes() == h.lengthscales.tobytes()):
+                        return h
                     p = self._log_params(cand)
                     current = factor.nlml
                     self.hyper, self._cache = cand, factor

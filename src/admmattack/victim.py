@@ -1,10 +1,11 @@
 """Bundled query-able victim classifiers and a self-contained trainer.
 
-A softmax-regression model and a one-hidden-layer ReLU MLP, trained by
-mini-batch SGD on cross-entropy, with bit-exact binary weight
+A softmax-regression model and a one-hidden-layer ReLU MLP (initial
+weights N(0, 0.01^2) and N(0, 0.1^2), zero biases), trained by SGD on
+cross-entropy over minibatches of 32, with bit-exact binary weight
 serialization. A procedurally generated 8x8 "digits" dataset (10 class
-templates plus seeded pixel noise, clipped to [0,1]) stands in for MNIST
-at desk scale.
+templates plus seeded pixel noise, clipped to [0,1]; 600 fixed rows)
+stands in for MNIST at desk scale.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class SoftmaxModel(_Classifier):
         return [self.weights, self.biases]
 
     @staticmethod
-    def init(d: int, k: int, rng: RngStream, scale: float = 0.01) -> "SoftmaxModel":
-        return SoftmaxModel(scale * rng.standard_normal((k, d)), np.zeros(k))
+    def init(d: int, k: int, rng: RngStream) -> "SoftmaxModel":
+        return SoftmaxModel(0.01 * rng.standard_normal((k, d)), np.zeros(k))
 
 
 @dataclass
@@ -105,11 +106,11 @@ class MlpModel(_Classifier):
         return [self.w1, self.b1, self.w2, self.b2]
 
     @staticmethod
-    def init(d: int, k: int, h: int, rng: RngStream, scale: float = 0.1) -> "MlpModel":
+    def init(d: int, k: int, h: int, rng: RngStream) -> "MlpModel":
         return MlpModel(
-            scale * rng.standard_normal((h, d)),
+            0.1 * rng.standard_normal((h, d)),
             np.zeros(h),
-            scale * rng.standard_normal((k, h)),
+            0.1 * rng.standard_normal((k, h)),
             np.zeros(k),
         )
 
@@ -159,22 +160,17 @@ class Dataset:
         return Dataset(np.array(rows), np.array(labels))
 
 
-def digits8x8(
-    n_per_class: int = 60,
-    seed: int = 1234,
-    noise_sd: float = 0.15,
-    num_classes: int = 10,
-) -> Dataset:
-    """Procedural 8x8 dataset: fixed class templates + Gaussian pixel noise."""
-    rng = RngStream(seed)
-    template_rng = rng.child(0)
-    templates = template_rng.uniform(0.0, 1.0, size=(num_classes, 64))
+def digits8x8() -> Dataset:
+    """Procedural 8x8 dataset: 10 fixed class templates, 60 samples of each
+    with Gaussian pixel noise (sd 0.15), shuffled; always the same 600 rows."""
+    rng = RngStream(1234)
+    templates = rng.child(0).uniform(0.0, 1.0, size=(10, 64))
     sample_rng = rng.child(1)
     xs, ys = [], []
-    for c in range(num_classes):
-        noise = sample_rng.standard_normal((n_per_class, 64)) * noise_sd
+    for c in range(10):
+        noise = sample_rng.standard_normal((60, 64)) * 0.15
         xs.append(np.clip(templates[c][None, :] + noise, 0.0, 1.0))
-        ys.append(np.full(n_per_class, c))
+        ys.append(np.full(60, c))
     inputs = np.concatenate(xs)
     labels = np.concatenate(ys)
     order = rng.child(2).permutation(inputs.shape[0])
@@ -203,15 +199,15 @@ def _grads(model, X: np.ndarray, Y: np.ndarray):
     return grads
 
 
-def train(model, data: Dataset, epochs: int, lr: float, rng: RngStream, batch_size: int = 32):
-    """Mini-batch SGD on cross-entropy; returns a trained copy."""
+def train(model, data: Dataset, epochs: int, lr: float, rng: RngStream):
+    """SGD on cross-entropy over minibatches of 32; returns a trained copy."""
     if data.n == 0:
         raise ValueError("empty dataset")
     model = model.copy()
     for _ in range(epochs):
         order = rng.permutation(data.n)
-        for start in range(0, data.n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, data.n, 32):
+            idx = order[start : start + 32]
             gs = _grads(model, data.inputs[idx], data.labels[idx])
             for arr, g in zip(model.arrays(), gs):
                 arr -= lr * g

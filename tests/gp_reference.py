@@ -1,14 +1,14 @@
 """The GP and EI formulas as written before they worked in place.
 
 Tests compare the package against these bit for bit: the package may
-reorder its temporaries and stop its EI ascent at a fixed point, but every
-float it returns must be the one these give.
+reorder its temporaries and stop its EI ascent and its hyperparameter fit
+at a fixed point, but every float it returns must be the one these give.
 """
 
 import numpy as np
 
 from admmattack.bo import _norm_cdf, _norm_pdf, ei_gradient, expected_improvement
-from admmattack.gp import SQRT5, TRI_INV_BLOCK, _scaled_r2
+from admmattack.gp import SQRT5, TRI_INV_BLOCK, GpFactorizationError, _scaled_r2
 
 
 def same_bits(got, want):
@@ -138,3 +138,43 @@ def maximize_ei_every_step(solver, model, l_plus, rng):
     ei[np.isnan(ei)] = -1.0
     best = int(np.argmax(ei))
     return x[best], float(ei[best])
+
+
+def same_hyper(a, b):
+    """Equal amplitude, noise and lengthscale bytes."""
+    return all(same_bits(x, y) for x, y in ((a.theta0, b.theta0), (a.noise_var, b.noise_var),
+                                            (a.lengthscales, b.lengthscales)))
+
+
+def fit_every_step(model, steps, learning_rate):
+    """The hyperparameter fit that takes every one of its steps unless a step
+    accepts no trial or lr falls below 1e-12, with the package's own gradient
+    and factor. Installs the result as fit_hypers does and returns the index
+    of the first step whose accepted trial repeated the hyperparameters bit
+    for bit (None if none did)."""
+    p = model._log_params()
+    current = model.nlml()
+    lr = learning_rate
+    first_repeat = None
+    for step in range(steps):
+        g = model.nlml_grad()
+        accepted = False
+        for _ in range(30):
+            cand = model._hyper_from_log(p - lr * g)
+            try:
+                factor = model._factor_for(cand)
+            except GpFactorizationError:
+                lr *= 0.5
+                continue
+            if factor.nlml <= current:
+                if first_repeat is None and same_hyper(cand, model.hyper):
+                    first_repeat = step
+                p = model._log_params(cand)
+                current = factor.nlml
+                model.hyper, model._cache = cand, factor
+                accepted = True
+                break
+            lr *= 0.5
+        if not accepted or lr < 1e-12:
+            break
+    return first_repeat

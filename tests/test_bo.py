@@ -487,7 +487,7 @@ class TestEiGradientSameBits:
         X = rng.uniform(-1, 1, (n, d))
         model = GpModel(d, hyper=GpHyper(lengthscales=np.ones(n_ls)))
         model.set_data(X, np.sum(X * X, axis=1) + 0.1 * rng.standard_normal(n))
-        model.fit_hypers(steps=3)
+        model.fit_hypers(3, 0.1)
         Q = rng.uniform(-1, 1, (rows, d))
         Q[0] = X[int(np.argmin(model.targets))]  # the incumbent, where EI starts
         l_plus = float(np.min(model.targets))

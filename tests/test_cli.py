@@ -18,7 +18,7 @@ from admmattack.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
-    PRESETS,
+    SETTINGS,
     build_parser,
     main,
     summarize_reports,
@@ -149,7 +149,7 @@ class TestAttack:
         ])
         assert code in (EXIT_OK, EXIT_NO_SUCCESS)
         doc = json.loads(next(out.glob("pair_*.json")).read_text())
-        # flag beats config file, config file beats preset
+        # flag beats config file, config file beats the built-in settings
         assert doc["config"]["gamma"] == 2.0
         assert doc["config"]["max_queries"] == 1234
         assert doc["summary"]["total_queries"] <= 1234
@@ -192,30 +192,23 @@ class TestAttack:
         assert "'q'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_values_take_the_preset_types(self, tmp_path):
+    def test_config_values_take_the_setting_types(self, tmp_path):
         cfg = tmp_path / "typed.cfg"
         cfg.write_text("q = 3\neps = 2\nnorm = l1\nn-smooth = 4\n")
         args = build_parser().parse_args(["attack", "--weights", "w", "--config", str(cfg)])
         settings = cli._resolve_settings(args)
-        assert settings == {**PRESETS["mnist-like"], "q": 3, "eps": 2.0, "norm": "l1",
-                            "n_smooth": 4}
-        assert [type(v) for v in settings.values()] == [
-            type(v) for v in PRESETS["mnist-like"].values()
-        ]
+        assert settings == {**SETTINGS, "q": 3, "eps": 2.0, "norm": "l1", "n_smooth": 4}
+        assert [type(v) for v in settings.values()] == [type(v) for v in SETTINGS.values()]
 
-    def test_presets_share_keys_and_each_key_is_an_attack_flag(self):
-        keys = [set(p) for p in PRESETS.values()]
-        assert all(k == keys[0] for k in keys)
+    def test_each_setting_is_an_attack_flag_and_there_is_no_preset(self, tmp_path,
+                                                                   trained_weights, capsys):
         args = build_parser().parse_args(["attack", "--weights", "w"])
-        assert args.preset == "mnist-like"
-        assert all(getattr(args, key) is None for key in keys[0])
-
-    def test_synthetic_1d_preset_resolves_to_its_own_values(self):
-        parse = build_parser().parse_args
-        args = parse(["attack", "--weights", "w", "--preset", "synthetic-1d"])
-        assert cli._resolve_settings(args) == PRESETS["synthetic-1d"]
-        args = parse(["attack", "--weights", "w", "--preset", "synthetic-1d", "--q", "7"])
-        assert cli._resolve_settings(args) == {**PRESETS["synthetic-1d"], "q": 7}
+        assert all(getattr(args, key) is None for key in SETTINGS)
+        assert cli._resolve_settings(args) == SETTINGS
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, "--preset", "mnist-like") == EXIT_USAGE
+        assert "unrecognized arguments: --preset mnist-like" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_row_text_of_handmade_reports(self, tmp_path, trained_weights, monkeypatch):
         made = [
@@ -358,7 +351,7 @@ class TestAttack:
     def test_data_outside_the_unit_box_is_usage_error(self, tmp_path, trained_weights, capsys,
                                                       value):
         # training data may leave [0, 1]; an attacked input may not
-        digits = digits8x8(n_per_class=1)
+        digits = digits8x8()
         rows = digits.inputs[:3].copy()
         rows[0, 0] = value
         data = tmp_path / "data.csv"
@@ -470,6 +463,22 @@ class TestServe:
         assert self.serve(monkeypatch, trained_weights, f"{row}\n\n{row}\n") == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and len(lines[0].split(",")) == 10
+
+    def test_a_client_that_stops_reading_is_a_run_fault(self, trained_weights):
+        # the client closes its end of the reply pipe before it sends a request
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        with subprocess.Popen(
+            [sys.executable, "-m", "admmattack.cli", "serve", "--weights", str(trained_weights)],
+            env={**os.environ, "PYTHONPATH": src}, stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            proc.stdout.close()
+            proc.stdin.write((",".join(["0.25"] * 64) + "\n") * 3)
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == EXIT_RUNTIME
+            err = proc.stderr.read()
+        assert len(err.splitlines()) == 1, err  # no traceback, no "Exception ignored"
+        assert err.startswith("error: ") and "reply stream" in err
 
 
 class TestUsage:

@@ -224,7 +224,7 @@ class TestFitHypers:
         model = GpModel(1)
         model.set_data(rng.standard_normal((5, 1)), rng.standard_normal(5))
         before = model.hyper
-        model.fit_hypers(steps=0)
+        model.fit_hypers(0, 0.1)
         assert model.hyper is before
 
     def test_nlml_non_increasing(self):
@@ -234,7 +234,7 @@ class TestFitHypers:
         y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(30)
         model.set_data(X, y)
         before = model.nlml()
-        model.fit_hypers(steps=30, learning_rate=0.1)
+        model.fit_hypers(30, 0.1)
         assert model.nlml() <= before + 1e-12
 
     def test_constant_targets_monotone(self):
@@ -243,7 +243,7 @@ class TestFitHypers:
         X = rng.uniform(-1, 1, (10, 1))
         model.set_data(X, np.full(10, 2.0))
         before = model.nlml()
-        model.fit_hypers(steps=20)
+        model.fit_hypers(20, 0.1)
         assert model.nlml() <= before
 
     def test_lengthscale_recovery(self):
@@ -263,7 +263,7 @@ class TestFitHypers:
                                              lengthscales=np.array([2.0]),
                                              noise_var=1e-3))
             model.set_data(X, y)
-            model.fit_hypers(steps=60, learning_rate=0.2)
+            model.fit_hypers(60, 0.2)
             ls = float(model.hyper.lengthscales[0])
             if true_ls / 2 <= ls <= true_ls * 2:
                 hits += 1
@@ -273,7 +273,7 @@ class TestFitHypers:
         model = GpModel(1)
         model.set_data(np.array([[0.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
-            model.fit_hypers()
+            model.fit_hypers(1, 0.1)
 
 
 def test_isotropic_default_for_high_dim():
@@ -335,7 +335,7 @@ class TestFitWithoutThrowawayModels:
             model = GpModel(d)
             assert model.hyper.lengthscales.shape == ((1,) if isotropic else (d,))
             model.set_data(X, y)
-            model.fit_hypers(steps=steps, learning_rate=0.3)
+            model.fit_hypers(steps, 0.3)
             values.append(model.nlml())
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] < values[0]
@@ -347,7 +347,7 @@ class TestFitWithoutThrowawayModels:
             y = np.sin(3 * X[:, 0]) * X[:, 1]
             model = GpModel(d)
             model.set_data(X, y)
-            model.fit_hypers(steps=10)
+            model.fit_hypers(10, 0.1)
             fresh = GpModel(d, hyper=model.hyper)
             fresh.set_data(X, y)
             assert model.nlml() == fresh.nlml()
@@ -391,7 +391,7 @@ class TestTriInv:
         model = GpModel(64)
         X = rng.uniform(-1, 1, (100, 64))
         model.set_data(X, np.sum(X * X, axis=1))
-        model.fit_hypers(steps=3)
+        model.fit_hypers(3, 0.1)
         model.posterior_with_grad(rng.uniform(-1, 1, (5, 64)))
         _tri_inv(spd_cholesky(101, seed=62))
         assert sizes and all(r == c <= TRI_INV_BLOCK for r, c in sizes)
@@ -478,7 +478,7 @@ def bo_like_model(n, d, n_ls, seed, fit_steps=3):
     X = rng.uniform(-1, 1, (n, d))
     model = GpModel(d, hyper=GpHyper(lengthscales=np.ones(n_ls)))
     model.set_data(X, np.sum(X * X, axis=1) + 0.1 * rng.standard_normal(n))
-    model.fit_hypers(steps=fit_steps)
+    model.fit_hypers(fit_steps, 0.1)
     return model, rng
 
 
@@ -515,3 +515,55 @@ class TestSameBitsAsThePreInPlaceFormulas:
             assert same_bits(got, want)
         for got, want in zip(model.posterior(Q), ref.posterior_terms(model, Q)[2:]):
             assert same_bits(got, want)
+
+
+def fit_model(case):
+    """A seeded model before its fit: BO-like deltas (shared-64, ard-3), and
+    three whose fits pin hyperparameters at their bounds: the lengthscale
+    at its lower bound (pinned-ls-1d), every lengthscale and the noise for
+    constant targets (pinned-ard-3), and the amplitude and the noise at
+    their upper bounds for steep targets (pinned-amplitude-1d)."""
+    seed, n, d, n_ls, targets = {
+        "shared-64": (140, 20, 64, 1, "bowl"),
+        "ard-3": (141, 40, 3, 3, "bowl"),
+        "pinned-ls-1d": (3, 5, 1, 1, "bowl"),
+        "pinned-ard-3": (5, 8, 3, 3, "constant"),
+        "pinned-amplitude-1d": (1, 6, 1, 1, "steep"),
+    }[case]
+    rng = RngStream(seed)
+    X = rng.uniform(-1, 1, (n, d))
+    y = {
+        "bowl": lambda: np.sum(X * X, axis=1) + 0.1 * rng.standard_normal(n),
+        "constant": lambda: np.ones(n),
+        "steep": lambda: 1e4 * (X[:, 0] + 0.1 * rng.standard_normal(n)),
+    }[targets]()
+    model = GpModel(d, hyper=GpHyper(lengthscales=np.ones(n_ls)))
+    model.set_data(X, y)
+    return model
+
+
+class TestFitStopsAtItsFixedPoint:
+    """fit_hypers ends when an accepted trial repeats the hyperparameters,
+    with the hyper and the cached factor of the fit that takes every step
+    (tests/gp_reference.py)."""
+
+    @pytest.mark.parametrize("case", ["shared-64", "ard-3", "pinned-ls-1d", "pinned-ard-3",
+                                      "pinned-amplitude-1d"])
+    def test_same_hyper_and_factor_as_every_step(self, case):
+        model, reference = fit_model(case), fit_model(case)
+        fitted = model.fit_hypers(80, 0.1)
+        ref.fit_every_step(reference, 80, 0.1)
+        assert ref.same_hyper(fitted, reference.hyper)
+        assert ref.same_hyper(model.hyper, reference.hyper)
+        for got, want in zip(model._factor(), reference._factor()):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("case", ["pinned-ls-1d", "pinned-ard-3", "pinned-amplitude-1d"])
+    def test_no_gradient_follows_the_repeat(self, case, monkeypatch):
+        first_repeat = ref.fit_every_step(fit_model(case), 80, 0.1)
+        assert first_repeat is not None and first_repeat < 79
+        calls = []
+        grad = GpModel.nlml_grad
+        monkeypatch.setattr(GpModel, "nlml_grad", lambda self: calls.append(1) or grad(self))
+        fit_model(case).fit_hypers(80, 0.1)
+        assert len(calls) == first_repeat + 1

@@ -68,9 +68,12 @@ class TestSoftmaxSameBits:
 
     @pytest.fixture(scope="class")
     def models(self):
+        # unit-scale weights, drawn as the models' init draws them
         rng = RngStream(150)
-        return [SoftmaxModel.init(64, 10, rng.child(0), scale=1.0),
-                MlpModel.init(64, 10, 16, rng.child(1), scale=1.0)]
+        mlp_rng = rng.child(1)
+        return [SoftmaxModel(rng.child(0).standard_normal((10, 64)), np.zeros(10)),
+                MlpModel(mlp_rng.standard_normal((16, 64)), np.zeros(16),
+                         mlp_rng.standard_normal((10, 16)), np.zeros(10))]
 
     @pytest.mark.parametrize("rows", [None, 1, 2, 21])
     def test_on_model_logits(self, models, rows):
@@ -132,13 +135,13 @@ class TestDataset:
         assert np.bincount(digits.labels).tolist() == [60] * 10
 
     def test_digits_deterministic(self):
-        a = digits8x8(n_per_class=5, seed=7)
-        b = digits8x8(n_per_class=5, seed=7)
+        a = digits8x8()
+        b = digits8x8()
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.labels, b.labels)
 
-    def test_csv_roundtrip(self, tmp_path):
-        data = digits8x8(n_per_class=3, seed=3)
+    def test_csv_roundtrip(self, tmp_path, digits):
+        data = Dataset(digits.inputs[:30], digits.labels[:30])
         path = tmp_path / "data.csv"
         write_csv(data, path)
         back = Dataset.from_csv(path)
@@ -215,9 +218,9 @@ class TestTraining:
                       rng=rng.child(0))
         assert accuracy(model, data) >= 0.99
 
-    def test_mlp_heldout_accuracy(self):
+    def test_mlp_heldout_accuracy(self, digits):
         rng = RngStream(16)
-        data = digits8x8(n_per_class=60, seed=1234)
+        data = digits
         split = int(0.8 * data.n)
         tr = Dataset(data.inputs[:split], data.labels[:split])
         te = Dataset(data.inputs[split:], data.labels[split:])
