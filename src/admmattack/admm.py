@@ -3,7 +3,9 @@
 Each iteration performs, in order: the proximal z-step (a = delta - u/rho),
 the delta-step (RGE closed form or one BO round), the dual update
 u += rho (z - delta), and a one-query success probe on the feasible
-perturbation candidate.
+perturbation candidate. The ZO delta-step sends that probe as the last
+row of its one loss call, so a ZO iteration is one oracle call; BO probes
+with a label query of its own after its delta-step.
 
 The success probe and best-iterate bookkeeping use z, which is feasible by
 construction and carries the configured distortion structure (e.g. the
@@ -107,7 +109,7 @@ class RunReport:
 
 
 class InfeasibleInitializer(ValueError):
-    """Decision-mode initializer is not classified as the target class."""
+    """Decision-mode initializer does not meet the attack goal."""
 
 
 def delta_zo_step(
@@ -145,13 +147,23 @@ def make_loss(
     rng: RngStream,
 ):
     """Attack loss over a stack of perturbations (n, d), n values, clamping
-    query points to [0,1]^d."""
-    def loss(delta):
-        x = spec.x0 + delta
+    query points to [0,1]^d.
+
+    loss(delta, probe) also sends x0 + probe, for a perturbation probe (d,),
+    as the last row of the same oracle call and returns (the n values,
+    whether the attack goal is met there).
+    """
+    def loss(delta, probe=None):
+        probed = probe is not None
+        n = len(delta)
+        x = np.empty((n + 1 if probed else n, spec.dim))
+        np.add(spec.x0, delta, out=x[:n])
+        if probed:
+            np.add(spec.x0, probe, out=x[n])
         x.clip(0.0, 1.0, out=x)
         if loss_cfg.mode is FeedbackMode.SCORE:
-            return score_loss(oracle, x, spec)
-        return smoothed_decision_loss(oracle, x, spec, loss_cfg, rng)
+            return score_loss(oracle, x, spec, probed)
+        return smoothed_decision_loss(oracle, x, spec, loss_cfg, rng, probed)
 
     return loss
 
@@ -164,29 +176,43 @@ def make_delta_step(
 ):
     """(step, loss evaluations per step) for cfg.delta_backend.
 
-    step(state after the z-step, loss, rng) returns (delta, loss value).
+    step(state after the z-step, loss, rng) returns (delta, loss value,
+    success). ZO sends the success probe at state.z as the last row of its
+    one loss call, and success is that probe's answer; BO leaves the probe
+    to its caller, and success is None.
     """
     if cfg.delta_backend is DeltaBackend.ZO:
         rge_cfg = rge_cfg or RgeConfig()
 
         def zo_step(state, loss, rng):
-            return delta_zo_step(state, cfg, rge_cfg, loss, rng)
+            probe_success = []
+
+            def rge_loss(points):
+                values, success = loss(points, state.z)
+                probe_success.append(success)
+                return values
+
+            delta, loss_val = delta_zo_step(state, cfg, rge_cfg, rge_loss, rng)
+            return delta, loss_val, probe_success[0]
 
         return zo_step, rge_cfg.q + 1
     solver = BoDeltaSolver(spec.x0, spec.epsilon, bo_cfg or BoConfig())
 
     def bo_step(state, loss, rng):
         delta = solver.step(state.z + state.u / cfg.rho, cfg.rho, loss, rng)
-        return delta, solver.best_f
+        return delta, solver.best_f, None
 
     return bo_step, solver.cfg.init_samples + solver.cfg.max_bo_iters
 
 
-def _probe(best: BestIterate, v: np.ndarray, spec: ProblemSpec, oracle: QueryOracle):
-    """One label query at x0 + v; returns (success, D(v), best), where best
-    takes v on a first success or one of lower distortion."""
-    x = spec.x0 + v
-    success = is_success(oracle, x.clip(0.0, 1.0, out=x), spec)
+def _probe(best: BestIterate, v: np.ndarray, spec: ProblemSpec, oracle: QueryOracle,
+           success: bool | None = None):
+    """The success at x0 + v: ``success`` when the oracle's last query
+    answered it, else one label query here. Returns (success, D(v), best),
+    where best takes v on a first success or one of lower distortion."""
+    if success is None:
+        x = spec.x0 + v
+        success = is_success(oracle, x.clip(0.0, 1.0, out=x), spec)
     dval = distortion_value(v, spec.distortion, spec.beta)
     first = best.queries_at_success
     if success and (first is None or dval < best.dist_value):
@@ -219,14 +245,14 @@ def admm_iterate(
     # the state after the z-step; the rest of the iteration completes it
     new = AttackState(delta=state.delta, z=z, u=state.u, k=state.k + 1, best=state.best,
                       zstep_input=zin)
-    new.delta, loss_val = delta_step(new, loss, rng)
+    new.delta, loss_val, success = delta_step(new, loss, rng)
     # u + rho (z - delta), on the new array
     new.u = z - new.delta
     new.u *= cfg.rho
     new.u += state.u
 
     # The success probe is z, feasible by construction of the z-step.
-    success, dval, new.best = _probe(state.best, z, spec, oracle)
+    success, dval, new.best = _probe(state.best, z, spec, oracle, success)
     # l0, l1, l2 and linf of the best success so far, or of z before the first
     norms = new.best.norms if new.best.perturbation is not None else lp_norms(z)
     record = IterationRecord(new.k, loss_val, dval, *norms,
@@ -247,8 +273,9 @@ def run_attack(
     """Drive a full attack run and return its report.
 
     Score mode starts from delta = z = u = 0. Decision mode requires an
-    initializer perturbation reaching the target class (typically
-    x_target - x0); it is projected and verified with one label query.
+    initializer perturbation that meets the attack goal (typically
+    x_target - x0, or untargeted, any x of another class minus x0); it is
+    projected and verified with one label query.
     """
     delta0, best, rows_per_eval = np.zeros(spec.dim), BestIterate(), 1
     if loss_cfg.mode is FeedbackMode.DECISION:
@@ -259,7 +286,7 @@ def run_attack(
         success, _, best = _probe(best, delta0, spec, oracle)
         if not success:
             raise InfeasibleInitializer(
-                "initial perturbed input is not classified as the target class"
+                "initial perturbed input does not meet the attack goal"
             )
     state = AttackState(delta=delta0, z=np.array(delta0), u=np.zeros(spec.dim), best=best)
 

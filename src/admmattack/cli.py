@@ -195,6 +195,25 @@ def _find_exemplar(model, data: Dataset, target: int):
     return data.inputs[hits[0]] if hits.size else None
 
 
+def _initial_perturbations(model, data: Dataset, specs) -> list:
+    """Each spec's decision-mode initializer, from one predict_label pass
+    over ``data``: its first example that meets the spec's goal (classified
+    as the target, or untargeted, as any class but the original label t0),
+    minus x0."""
+    labels = model.predict_label(data.inputs)
+    inits = []
+    for spec in specs:
+        targeted = spec.attack_mode is AttackMode.TARGETED
+        hits = np.flatnonzero((labels == spec.target) == targeted)
+        if not hits.size:
+            wanted = (f"target class {spec.target}" if targeted
+                      else f"a class other than the original label {spec.target}")
+            raise UsageError(f"no exemplar of {wanted} found for decision-mode "
+                             "initialization (see --init-from)")
+        inits.append(data.inputs[hits[0]] - spec.x0)
+    return inits
+
+
 def _report_to_dict(report: RunReport, pair: int, target: int, timestamp: str) -> dict:
     values = (report.success, report.queries_first_success, *report.final_norms,
               report.total_queries)
@@ -270,6 +289,9 @@ def cmd_attack(args) -> int:
         )
         for img_idx, target in pairs
     ])
+    init_deltas = [None] * len(specs)
+    if feedback is FeedbackMode.DECISION:
+        init_deltas = _initial_perturbations(model, init_data, specs)
 
     out_dir = Path(args.out)
     _on_path("create", "output directory", out_dir,
@@ -279,18 +301,9 @@ def cmd_attack(args) -> int:
 
     rows = []
     n_success = 0
-    for pair_idx, spec in enumerate(specs):
+    for pair_idx, (spec, init_delta) in enumerate(zip(specs, init_deltas)):
         target = spec.target
         oracle = ModelOracle(model, scores_available=feedback is FeedbackMode.SCORE)
-        init_delta = None
-        if feedback is FeedbackMode.DECISION:
-            exemplar = _find_exemplar(model, init_data, target)
-            if exemplar is None:
-                raise UsageError(
-                    f"no exemplar of target class {target} found for "
-                    "decision-mode initialization (see --init-from)"
-                )
-            init_delta = exemplar - spec.x0
         try:
             report = run_attack(
                 spec, cfg, loss_cfg, oracle, root_rng.child(pair_idx),

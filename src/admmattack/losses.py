@@ -227,13 +227,19 @@ def _goal_met(labels, spec: ProblemSpec):
     return (labels == spec.target) == (spec.attack_mode is AttackMode.TARGETED)
 
 
-def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec, probe: bool = False):
     """C&W-style log-score loss of each row of x (n, d); one score query per row.
 
     Targeted: max(max_{j != t} log P_j - log P_t, -kappa). Untargeted swaps
     roles with t0 = spec.target holding the original label.
+
+    With ``probe``, the last row of x is a success probe, scored in the same
+    query: the result is then (the values of the other rows, whether the
+    attack goal is met at the probe by the hard label of its scores).
     """
-    logp = np.maximum(oracle.query_scores(x), PROB_FLOOR)
+    n = len(x) - 1 if probe else len(x)
+    scores = oracle.query_scores(x)
+    logp = np.maximum(scores[:n], PROB_FLOOR)
     np.log(logp, out=logp)
     t = spec.target
     own = logp[..., t].copy()
@@ -245,7 +251,8 @@ def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> np.ndar
         val = own - others
     # the semantics of Python's max(val, -kappa), signed zeros included
     floor = -spec.kappa
-    return np.where(floor > val, floor, val)
+    values = np.where(floor > val, floor, val)
+    return (values, _goal_met(hard_label(scores[n]), spec)) if probe else values
 
 
 def decision_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -260,7 +267,8 @@ def smoothed_decision_loss(
     spec: ProblemSpec,
     cfg: LossConfig,
     rng: RngStream,
-) -> np.ndarray:
+    probe: bool = False,
+):
     """Monte Carlo smoothing of the decision loss of each row of x (n, d);
     N label queries per row.
 
@@ -269,15 +277,25 @@ def smoothed_decision_loss(
     All of them go to the oracle in one call, clamped to [0,1]^d so real
     oracles never see out-of-range pixels. A decision-mode LossConfig has
     checked mu and N.
+
+    With ``probe``, the last row of x is a success probe: it is not
+    smoothed, and it goes to the oracle as the last row of the same label
+    query. The result is then (the values of the other rows, whether the
+    attack goal is met at the probe).
     """
     n, d = np.shape(x)
+    if probe:
+        n -= 1
     samples = cfg.smoothing_samples
     xq = rng.unit_ball(n * samples, d)
     xq *= cfg.smoothing_mu
-    xq += np.repeat(x, samples, axis=0)
+    xq += np.repeat(x[:n], samples, axis=0)
     xq.clip(0.0, 1.0, out=xq)
-    losses = decision_loss(oracle, xq, spec).reshape(n, samples)
-    return losses.sum(axis=1) / samples
+    if probe:
+        xq = np.concatenate((xq, x[n:]))
+    losses = decision_loss(oracle, xq, spec)
+    values = losses[:n * samples].reshape(n, samples).sum(axis=1) / samples
+    return (values, bool(losses[-1] < 0)) if probe else values
 
 
 def is_success(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> bool:

@@ -285,6 +285,9 @@ def load_weights(path):
         count = int(np.prod(shape)) if shape else 1
         raw = take(8 * count, f"array {i} data")
         arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+    if off != len(data):
+        raise WeightFormatError(f"{len(data) - off} extra bytes after the last array, "
+                                f"at offset {off}")
 
     cls = _MODELS[model_code]
     try:

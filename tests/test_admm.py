@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from admm_reference import two_call_run
 from oracles import FunctionOracle
 
 from admmattack import prox
@@ -88,6 +89,15 @@ def zo_step(spec, cfg, rge_cfg):
     return make_delta_step(spec, cfg, rge_cfg)[0]
 
 
+def probe_misses(values):
+    """A synthetic loss that also answers the success probe the ZO delta-step
+    sends with its points: the probe never succeeds."""
+    def loss(V, probe=None):
+        return values(V) if probe is None else (values(V), False)
+
+    return loss
+
+
 class TestAdmmIterate:
     def test_z_matches_feasible_delta_when_gamma_zero(self):
         x0 = np.full(3, 0.5)
@@ -96,7 +106,7 @@ class TestAdmmIterate:
         delta = np.array([0.1, -0.2, 0.3])
         state = AttackState(delta=delta, z=np.zeros(3), u=np.zeros(3))
         cfg = AdmmConfig(rho=1.0)
-        loss = lambda V: np.zeros(len(V))
+        loss = probe_misses(lambda V: np.zeros(len(V)))
         new_state, _ = admm_iterate(state, spec, cfg, oracle, RngStream(0), loss,
                                     zo_step(spec, cfg, RgeConfig(q=2, nu=0.1)))
         np.testing.assert_allclose(new_state.z, delta, atol=1e-15)
@@ -111,7 +121,7 @@ class TestAdmmIterate:
         state = AttackState(delta=delta, z=delta.copy(), u=np.zeros(2))
         cfg = AdmmConfig(rho=2.0)
         new_state, _ = admm_iterate(state, spec, cfg, oracle, RngStream(1),
-                                    lambda V: np.ones(len(V)),
+                                    probe_misses(lambda V: np.ones(len(V))),
                                     zo_step(spec, cfg, RgeConfig(q=2, nu=0.1)))
         np.testing.assert_allclose(new_state.u, np.zeros(2), atol=1e-14)
 
@@ -123,7 +133,7 @@ class TestAdmmIterate:
         state = AttackState(delta=rng.standard_normal(4) * 0.1,
                             z=np.zeros(4), u=rng.standard_normal(4) * 0.1)
         cfg = AdmmConfig(rho=3.0)
-        loss = lambda V: np.sum(V ** 2, axis=1)
+        loss = probe_misses(lambda V: np.sum(V ** 2, axis=1))
         u_before = state.u.copy()
         new_state, _ = admm_iterate(state, spec, cfg, oracle, rng, loss,
                                     zo_step(spec, cfg, RgeConfig(q=3, nu=0.1)))
@@ -138,7 +148,7 @@ class TestAdmmIterate:
         rng = RngStream(3)
         state = AttackState(delta=np.zeros(3), z=np.zeros(3), u=np.zeros(3))
         cfg = AdmmConfig(rho=1.0)
-        loss = lambda V: np.sin(np.sum(V, axis=1))
+        loss = probe_misses(lambda V: np.sin(np.sum(V, axis=1)))
         for _ in range(30):
             state, _ = admm_iterate(state, spec, cfg, oracle, rng, loss,
                                     zo_step(spec, cfg, RgeConfig(q=3, nu=0.2)))
@@ -219,13 +229,15 @@ class TestBoQueryAccounting:
 
 
 class RowCountingVictim:
-    """A victim that counts every row it is asked to score."""
+    """A victim that counts every row it is asked to score and keeps each
+    call's rows, a point as a one-row stack."""
 
     def __init__(self, model):
-        self.model, self.rows = model, 0
+        self.model, self.rows, self.calls = model, 0, []
 
     def predict_scores(self, x):
         self.rows += 1 if np.ndim(x) == 1 else len(x)
+        self.calls.append(np.array(x, ndmin=2))
         return self.model.predict_scores(x)
 
 
@@ -252,6 +264,84 @@ def test_zo_ledger_matches_the_victim_and_the_budget(feedback, q, n_smooth, budg
     assert victim.rows == oracle.queries_used == rep.total_queries + decision
     assert rep.total_queries == len(rep.records) * iter_cost
     assert rep.total_queries <= budget < rep.total_queries + iter_cost
+
+
+@pytest.mark.parametrize("feedback, q, n_smooth", [
+    (FeedbackMode.SCORE, 1, 1),
+    (FeedbackMode.SCORE, 7, 1),
+    (FeedbackMode.DECISION, 1, 1),
+    (FeedbackMode.DECISION, 3, 4),
+    (FeedbackMode.DECISION, 6, 2),
+])
+def test_one_victim_call_per_zo_iteration_ends_with_the_probe(monkeypatch, feedback, q,
+                                                                n_smooth):
+    # class 1 wins iff x[0] > 0.5; the decision initializer crosses there
+    victim = RowCountingVictim(SoftmaxModel(np.array([[0.0, 0.0], [8.0, 0.0]]),
+                                            np.array([0.0, -4.0])))
+    decision = feedback is FeedbackMode.DECISION
+    spec = make_spec(np.array([0.3, 0.5]))
+    zs = []
+    real_zstep = prox.zstep
+    monkeypatch.setattr(prox, "zstep", lambda inp: zs.append(real_zstep(inp)) or zs[-1])
+    rep = run_attack(spec, AdmmConfig(rho=1.0, max_queries=300),
+                     LossConfig(mode=feedback, smoothing_mu=0.5, smoothing_samples=n_smooth),
+                     ModelOracle(victim, scores_available=not decision), RngStream(q),
+                     rge_cfg=RgeConfig(q=q, nu=0.1),
+                     init_delta=np.array([0.5, 0.0]) if decision else None)
+    calls = victim.calls[decision:]  # after the decision initializer's one-row check
+    assert len(calls) == len(rep.records) == len(zs) > 0
+    rows = (q + 1) * n_smooth + 1 if decision else q + 2
+    for z, call in zip(zs, calls):
+        assert call.shape == (rows, 2)
+        assert call[-1].tobytes() == np.clip(spec.x0 + z, 0.0, 1.0).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    feedback=st.sampled_from(list(FeedbackMode)),
+    distortion=st.sampled_from(list(Distortion)),
+    attack_mode=st.sampled_from(list(AttackMode)),
+    refine=st.booleans(),
+    q=st.integers(1, 6),
+    n_smooth=st.integers(1, 4),
+    budget=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_one_call_iteration_equals_the_two_call_iteration(
+        feedback, distortion, attack_mode, refine, q, n_smooth, budget, seed):
+    rng = RngStream(seed)
+    d, k = 4, 3
+    model = SoftmaxModel(4.0 * rng.standard_normal((k, d)), rng.standard_normal(k))
+    points = rng.uniform(0.0, 1.0, (16, d))
+    labels = model.predict_label(points)
+    others = np.flatnonzero(labels != labels[0])
+    assume(others.size > 0)
+    targeted = attack_mode is AttackMode.TARGETED
+    decision = feedback is FeedbackMode.DECISION
+    spec = ProblemSpec(x0=points[0], target=int(labels[others[0]] if targeted else labels[0]),
+                       num_classes=k, epsilon=1.0, gamma=0.5, distortion=distortion,
+                       beta=0.5, attack_mode=attack_mode)
+
+    def attack(run):
+        victim = RowCountingVictim(model)
+        oracle = ModelOracle(victim, scores_available=not decision)
+        rep = run(spec, AdmmConfig(rho=1.0, max_queries=budget, success_then_refine=refine),
+                  LossConfig(mode=feedback, smoothing_mu=0.5, smoothing_samples=n_smooth),
+                  oracle, RngStream(seed).child(1), rge_cfg=RgeConfig(q=q, nu=0.2),
+                  init_delta=points[others[0]] - points[0] if decision else None)
+        return rep, oracle.queries_used, b"".join(call.tobytes() for call in victim.calls)
+
+    one, one_ledger, one_rows = attack(run_attack)
+    two, two_ledger, two_rows = attack(two_call_run)
+    # repr tells -0.0 from 0.0 and a NumPy bool from a Python one
+    assert [repr(vars(r)) for r in one.records] == [repr(vars(r)) for r in two.records]
+    assert repr((one.success, one.queries_first_success, one.final_norms, one.total_queries)) \
+        == repr((two.success, two.queries_first_success, two.final_norms, two.total_queries))
+    assert (one.final_perturbation is None) == (two.final_perturbation is None)
+    if one.final_perturbation is not None:
+        assert one.final_perturbation.tobytes() == two.final_perturbation.tobytes()
+    assert one_ledger == two_ledger
+    assert one_rows == two_rows  # the same queries, in the same order
 
 
 @settings(max_examples=60, deadline=None)

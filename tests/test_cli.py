@@ -369,6 +369,32 @@ class TestAttack:
         assert code in (EXIT_OK, EXIT_NO_SUCCESS)
         assert (out / "aggregate.csv").exists()
 
+    def test_untargeted_decision_batch_starts_off_the_original_label(self, tmp_path,
+                                                                     trained_weights):
+        out = tmp_path / "reports"
+        code = run_attack(out, trained_weights, "--feedback", "decision", "--untargeted",
+                          "--budget", "300", "--pairs", "2")
+        assert code in (EXIT_OK, EXIT_NO_SUCCESS)
+        assert (out / "aggregate.csv").exists()
+        assert sorted(p.name for p in out.glob("pair_*.json")) == ["pair_0000.json",
+                                                                   "pair_0001.json"]
+
+    def test_a_missing_exemplar_is_a_usage_error_before_any_pair_runs(self, tmp_path,
+                                                                       trained_weights, capsys):
+        # --init-from holds only inputs the victim classifies as 0, 1 or 2
+        digits = digits8x8()
+        keep = load_weights(trained_weights).predict_label(digits.inputs) <= 2
+        init = tmp_path / "init.csv"
+        init.write_text("".join(",".join(map(repr, x.tolist())) + f",{y}\n"
+                                for x, y in zip(digits.inputs[keep], digits.labels[keep])))
+        out = tmp_path / "r"
+        code = run_attack(out, trained_weights, "--feedback", "decision",
+                          "--init-from", str(init), "--pairs", "9", "--budget", "300")
+        assert code == EXIT_USAGE
+        assert "no exemplar of target class" in capsys.readouterr().err
+        assert not list(out.glob("pair_*.json"))
+        assert not (out / "aggregate.csv").exists()
+
 
 class TestReport:
     def make_reports(self, tmp_path, summaries):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from admmattack.cli import EXIT_USAGE, main
 from admmattack.core import RngStream
 from admmattack.victim import (
     Dataset,
@@ -283,6 +284,15 @@ class TestSerialization:
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(WeightFormatError, match=r"offset \d+"):
             load_weights(path)
+
+    def test_trailing_bytes_are_rejected_with_their_count(self, tmp_path):
+        model = SoftmaxModel(np.ones((2, 2)), np.zeros(2))
+        path = tmp_path / "m.weights"
+        save_weights(model, path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(WeightFormatError, match="7 extra bytes"):
+            load_weights(path)
+        assert main(["attack", "--weights", str(path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
 
     def test_version_mismatch_detected(self, tmp_path):
         model = SoftmaxModel(np.ones((2, 2)), np.zeros(2))
