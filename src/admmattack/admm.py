@@ -3,9 +3,9 @@
 Each iteration performs, in order: the proximal z-step (a = delta - u/rho),
 the delta-step (RGE closed form or one BO round), the dual update
 u += rho (z - delta), and a one-query success probe on the feasible
-perturbation candidate. The ZO delta-step sends that probe as the last
-row of its one loss call, so a ZO iteration is one oracle call; BO probes
-with a label query of its own after its delta-step.
+perturbation candidate. Either delta-step sends that probe as the last row
+of its last loss call, so the probe is the iteration's last query: a ZO
+iteration is one oracle call, a BO iteration one per BO loss call.
 
 The success probe and best-iterate bookkeeping use z, which is feasible by
 construction and carries the configured distortion structure (e.g. the
@@ -55,10 +55,10 @@ class AdmmConfig:
     delta_backend: DeltaBackend = DeltaBackend.ZO
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.rho < math.inf:  # NaN fails too
+            raise ValueError("rho must be positive and finite")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.max_queries < 0:
             raise ValueError("the query budget must be nonnegative")
 
@@ -177,48 +177,54 @@ def make_delta_step(
     """(step, loss evaluations per step) for cfg.delta_backend.
 
     step(state after the z-step, loss, rng) returns (delta, loss value,
-    success). ZO sends the success probe at state.z as the last row of its
-    one loss call, and success is that probe's answer; BO leaves the probe
-    to its caller, and success is None.
+    success). Its last loss call sends the success probe at state.z as the
+    last row, through loss(points, state.z), and success is that probe's
+    answer. ZO makes one loss call per step; BO makes one for its initial
+    samples, then one per acquisition.
     """
     if cfg.delta_backend is DeltaBackend.ZO:
         rge_cfg = rge_cfg or RgeConfig()
+        calls, evals = 1, rge_cfg.q + 1
 
-        def zo_step(state, loss, rng):
-            probe_success = []
+        def solve(state, f_loss, rng):
+            return delta_zo_step(state, cfg, rge_cfg, f_loss, rng)
+    else:
+        solver = BoDeltaSolver(spec.x0, spec.epsilon, bo_cfg or BoConfig())
+        calls = 1 + solver.cfg.max_bo_iters
+        evals = solver.cfg.init_samples + solver.cfg.max_bo_iters
 
-            def rge_loss(points):
-                values, success = loss(points, state.z)
-                probe_success.append(success)
-                return values
+        def solve(state, f_loss, rng):
+            delta = solver.step(state.z + state.u / cfg.rho, cfg.rho, f_loss, rng)
+            return delta, solver.best_f
 
-            delta, loss_val = delta_zo_step(state, cfg, rge_cfg, rge_loss, rng)
-            return delta, loss_val, probe_success[0]
+    def step(state, loss, rng):
+        made, answers = 0, []
 
-        return zo_step, rge_cfg.q + 1
-    solver = BoDeltaSolver(spec.x0, spec.epsilon, bo_cfg or BoConfig())
+        def f_loss(points):
+            nonlocal made
+            made += 1
+            if made < calls:
+                return loss(points)
+            values, success = loss(points, state.z)
+            answers.append(success)
+            return values
 
-    def bo_step(state, loss, rng):
-        delta = solver.step(state.z + state.u / cfg.rho, cfg.rho, loss, rng)
-        return delta, solver.best_f, None
+        delta, loss_val = solve(state, f_loss, rng)
+        (success,) = answers  # exactly one probe, on the last call
+        return delta, loss_val, success
 
-    return bo_step, solver.cfg.init_samples + solver.cfg.max_bo_iters
+    return step, evals
 
 
-def _probe(best: BestIterate, v: np.ndarray, spec: ProblemSpec, oracle: QueryOracle,
-           success: bool | None = None):
-    """The success at x0 + v: ``success`` when the oracle's last query
-    answered it, else one label query here. Returns (success, D(v), best),
-    where best takes v on a first success or one of lower distortion."""
-    if success is None:
-        x = spec.x0 + v
-        success = is_success(oracle, x.clip(0.0, 1.0, out=x), spec)
+def _keep_best(best: BestIterate, v: np.ndarray, spec: ProblemSpec, success: bool,
+               queries: int):
+    """(D(v), best), where best takes v on a first success, reached at the
+    ledger count ``queries``, or on a success of lower distortion."""
     dval = distortion_value(v, spec.distortion, spec.beta)
     first = best.queries_at_success
     if success and (first is None or dval < best.dist_value):
-        best = BestIterate(np.array(v), dval, oracle.queries_used if first is None else first,
-                           lp_norms(v))
-    return success, dval, best
+        best = BestIterate(np.array(v), dval, queries if first is None else first, lp_norms(v))
+    return dval, best
 
 
 def admm_iterate(
@@ -252,7 +258,7 @@ def admm_iterate(
     new.u += state.u
 
     # The success probe is z, feasible by construction of the z-step.
-    success, dval, new.best = _probe(state.best, z, spec, oracle, success)
+    dval, new.best = _keep_best(state.best, z, spec, success, oracle.queries_used)
     # l0, l1, l2 and linf of the best success so far, or of z before the first
     norms = new.best.norms if new.best.perturbation is not None else lp_norms(z)
     record = IterationRecord(new.k, loss_val, dval, *norms,
@@ -283,11 +289,10 @@ def run_attack(
         if init_delta is None:
             raise ValueError("decision mode requires an initial perturbation")
         delta0 = project_box_linf(spec.x0, init_delta, spec.epsilon)
-        success, _, best = _probe(best, delta0, spec, oracle)
-        if not success:
-            raise InfeasibleInitializer(
-                "initial perturbed input does not meet the attack goal"
-            )
+        x = spec.x0 + delta0
+        if not is_success(oracle, x.clip(0.0, 1.0, out=x), spec):
+            raise InfeasibleInitializer("initial perturbed input does not meet the attack goal")
+        _, best = _keep_best(best, delta0, spec, True, oracle.queries_used)
     state = AttackState(delta=delta0, z=np.array(delta0), u=np.zeros(spec.dim), best=best)
 
     delta_step, evals = make_delta_step(spec, cfg, rge_cfg, bo_cfg)

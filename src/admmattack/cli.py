@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmConfig, DeltaBackend, InfeasibleInitializer, RunReport, run_attack
+from .admm import AdmmConfig, DeltaBackend, RunReport, run_attack
 from .bo import BoConfig
-from .core import AttackMode, Distortion, ProblemSpec, RngStream
+from .core import AttackMode, Distortion, ProblemSpec, RngStream, project_box_linf
 from .grad_est import RgeConfig
-from .losses import FeedbackMode, LossConfig, ModelOracle, serve_oracle
+from .losses import FeedbackMode, LossConfig, ModelOracle, _goal_met, serve_oracle
 from .victim import (
     Dataset,
     MlpModel,
@@ -199,18 +199,24 @@ def _initial_perturbations(model, data: Dataset, specs) -> list:
     """Each spec's decision-mode initializer, from one predict_label pass
     over ``data``: its first example that meets the spec's goal (classified
     as the target, or untargeted, as any class but the original label t0),
-    minus x0."""
+    minus x0. A second, uncharged pass checks every start that run_attack
+    will verify, so a batch fails before its first pair runs."""
     labels = model.predict_label(data.inputs)
     inits = []
     for spec in specs:
-        targeted = spec.attack_mode is AttackMode.TARGETED
-        hits = np.flatnonzero((labels == spec.target) == targeted)
+        hits = np.flatnonzero(_goal_met(labels, spec))
         if not hits.size:
-            wanted = (f"target class {spec.target}" if targeted
+            wanted = (f"target class {spec.target}" if spec.attack_mode is AttackMode.TARGETED
                       else f"a class other than the original label {spec.target}")
             raise UsageError(f"no exemplar of {wanted} found for decision-mode "
                              "initialization (see --init-from)")
         inits.append(data.inputs[hits[0]] - spec.x0)
+    starts = np.array([spec.x0 + project_box_linf(spec.x0, init, spec.epsilon)
+                       for spec, init in zip(specs, inits)]).clip(0.0, 1.0)
+    for pair, (spec, label) in enumerate(zip(specs, model.predict_label(starts))):
+        if not _goal_met(label, spec):
+            raise UsageError(f"pair {pair} (target {spec.target}): the initial perturbed input "
+                             "does not meet the attack goal within --eps (see --init-from)")
     return inits
 
 
@@ -309,8 +315,6 @@ def cmd_attack(args) -> int:
                 spec, cfg, loss_cfg, oracle, root_rng.child(pair_idx),
                 rge_cfg=rge_cfg, bo_cfg=bo_cfg, init_delta=init_delta,
             )
-        except InfeasibleInitializer as exc:
-            raise UsageError(str(exc))
         except (ValueError, RuntimeError) as exc:
             raise RunFault(f"pair {pair_idx}: {type(exc).__name__}: {exc}") from exc
 

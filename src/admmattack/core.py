@@ -70,14 +70,11 @@ class ProblemSpec:
             raise ValueError("target class out of range")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        if not self.epsilon > 0:
+        if not self.epsilon > 0:  # NaN fails too; an infinite epsilon leaves only the box
             raise ValueError("epsilon must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if self.distortion is Distortion.ELASTIC and self.beta < 0:
-            raise ValueError("elastic-net beta must be nonnegative")
+        for name in ("gamma", "kappa", "beta"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative and finite")
 
     @property
     def dim(self) -> int:

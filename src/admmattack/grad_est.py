@@ -22,8 +22,8 @@ class RgeConfig:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("need at least one random direction")
-        if self.nu <= 0:
-            raise ValueError("smoothing radius nu must be positive")
+        if not 0 < self.nu < math.inf:  # NaN fails too
+            raise ValueError("smoothing radius nu must be positive and finite")
 
 
 def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):

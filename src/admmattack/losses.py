@@ -9,6 +9,7 @@ query more than their documented count.
 from __future__ import annotations
 
 import enum
+import math
 import subprocess
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ class LossConfig:
 
     def __post_init__(self):
         if self.mode is FeedbackMode.DECISION:
-            if self.smoothing_mu <= 0:
-                raise ValueError("smoothing mu must be positive")
+            if not 0 < self.smoothing_mu < math.inf:  # NaN fails too
+                raise ValueError("smoothing mu must be positive and finite")
             if self.smoothing_samples < 1:
                 raise ValueError("need at least one smoothing sample")
 

@@ -1,29 +1,46 @@
-"""The ADMM iteration as written before the ZO success probe rode in the
-delta-step's loss call: the RGE loss call, then a one-row label call.
+"""The ADMM iteration as written before the success probe rode in the
+delta-step's last loss call: the delta-step's loss calls (the RGE call, or
+BO's initial-sample and acquisition calls), then a one-row label call.
 
 Tests run the package's run_attack through these (see ``two_call_run``)
 and require the same records, final perturbation bytes, ledger and
-victim rows, in the same order, as the package's one-call iteration.
+victim rows, in the same order, as the package's iteration, whose last
+loss call carries the probe.
 """
 
 import numpy as np
 import pytest
 
 from admmattack import admm, prox
-from admmattack.admm import AttackState, BestIterate, IterationRecord, delta_zo_step
+from admmattack.admm import (
+    AttackState,
+    BestIterate,
+    DeltaBackend,
+    IterationRecord,
+    delta_zo_step,
+)
+from admmattack.bo import BoConfig, BoDeltaSolver
 from admmattack.core import distortion_value, lp_norms
 from admmattack.grad_est import RgeConfig
 from admmattack.losses import is_success
 
 
 def make_delta_step(spec, cfg, rge_cfg=None, bo_cfg=None):
-    """The ZO delta-step, whose loss call carries the RGE points alone."""
-    rge_cfg = rge_cfg or RgeConfig()
+    """The delta-step, whose loss calls carry the step's own points alone."""
+    if cfg.delta_backend is DeltaBackend.ZO:
+        rge_cfg = rge_cfg or RgeConfig()
 
-    def zo_step(state, loss, rng):
-        return delta_zo_step(state, cfg, rge_cfg, loss, rng)
+        def zo_step(state, loss, rng):
+            return delta_zo_step(state, cfg, rge_cfg, loss, rng)
 
-    return zo_step, rge_cfg.q + 1
+        return zo_step, rge_cfg.q + 1
+    solver = BoDeltaSolver(spec.x0, spec.epsilon, bo_cfg or BoConfig())
+
+    def bo_step(state, loss, rng):
+        delta = solver.step(state.z + state.u / cfg.rho, cfg.rho, loss, rng)
+        return delta, solver.best_f
+
+    return bo_step, solver.cfg.init_samples + solver.cfg.max_bo_iters
 
 
 def probe(best, v, spec, oracle):
@@ -61,7 +78,7 @@ def admm_iterate(state, spec, cfg, oracle, rng, loss, delta_step):
 
 
 def two_call_run(*args, **kwargs):
-    """admm.run_attack(*args, **kwargs) with the two-call iteration above; ZO only."""
+    """admm.run_attack(*args, **kwargs) with the iteration above, for either backend."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(admm, "make_delta_step", make_delta_step)
         m.setattr(admm, "admm_iterate", admm_iterate)

@@ -296,19 +296,45 @@ def test_one_victim_call_per_zo_iteration_ends_with_the_probe(monkeypatch, feedb
         assert call[-1].tobytes() == np.clip(spec.x0 + z, 0.0, 1.0).tobytes()
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    feedback=st.sampled_from(list(FeedbackMode)),
-    distortion=st.sampled_from(list(Distortion)),
-    attack_mode=st.sampled_from(list(AttackMode)),
-    refine=st.booleans(),
-    q=st.integers(1, 6),
-    n_smooth=st.integers(1, 4),
-    budget=st.integers(0, 400),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_the_one_call_iteration_equals_the_two_call_iteration(
-        feedback, distortion, attack_mode, refine, q, n_smooth, budget, seed):
+@pytest.mark.parametrize("feedback, init_samples, max_bo_iters, n_smooth", [
+    (FeedbackMode.SCORE, 3, 2, 1),
+    (FeedbackMode.SCORE, 2, 0, 1),
+    (FeedbackMode.DECISION, 2, 1, 3),
+    (FeedbackMode.DECISION, 3, 0, 2),
+])
+def test_bo_iteration_calls_end_with_the_probe(monkeypatch, feedback, init_samples,
+                                                max_bo_iters, n_smooth):
+    # class 1 wins iff x[0] > 0.5; the decision initializer crosses there
+    victim = RowCountingVictim(SoftmaxModel(np.array([[0.0, 0.0], [8.0, 0.0]]),
+                                            np.array([0.0, -4.0])))
+    decision = feedback is FeedbackMode.DECISION
+    spec = make_spec(np.array([0.3, 0.5]))
+    zs = []
+    real_zstep = prox.zstep
+    monkeypatch.setattr(prox, "zstep", lambda inp: zs.append(real_zstep(inp)) or zs[-1])
+    bo_cfg = BoConfig(init_samples=init_samples, max_bo_iters=max_bo_iters, ei_restarts=2,
+                      ei_steps=3, fit_steps=2)
+    rep = run_attack(spec, AdmmConfig(rho=1.0, max_queries=120, delta_backend=DeltaBackend.BO),
+                     LossConfig(mode=feedback, smoothing_mu=0.5, smoothing_samples=n_smooth),
+                     ModelOracle(victim, scores_available=not decision), RngStream(init_samples),
+                     bo_cfg=bo_cfg, init_delta=np.array([0.5, 0.0]) if decision else None)
+    calls = victim.calls[decision:]  # after the decision initializer's one-row check
+    per_iter = 1 + max_bo_iters
+    assert len(calls) == len(rep.records) * per_iter == len(zs) * per_iter > 0
+    # the last call holds the last acquisition, or the initial samples if there is none
+    points = init_samples if max_bo_iters == 0 else 1
+    rows = points * n_smooth + 1 if decision else points + 1
+    for i, z in enumerate(zs):
+        call = calls[(i + 1) * per_iter - 1]
+        assert call.shape == (rows, 2)
+        assert call[-1].tobytes() == np.clip(spec.x0 + z, 0.0, 1.0).tobytes()
+
+
+def assert_probe_path_equals_separate_probe(feedback, distortion, attack_mode, refine,
+                                            budget, seed, n_smooth, **kwargs):
+    """run_attack, whose delta-step's last loss call carries the success probe,
+    against two_call_run, whose probe is a label query of its own, on one
+    random 4-feature, 3-class softmax victim; kwargs go to both runs."""
     rng = RngStream(seed)
     d, k = 4, 3
     model = SoftmaxModel(4.0 * rng.standard_normal((k, d)), rng.standard_normal(k))
@@ -321,14 +347,16 @@ def test_the_one_call_iteration_equals_the_two_call_iteration(
     spec = ProblemSpec(x0=points[0], target=int(labels[others[0]] if targeted else labels[0]),
                        num_classes=k, epsilon=1.0, gamma=0.5, distortion=distortion,
                        beta=0.5, attack_mode=attack_mode)
+    backend = DeltaBackend.BO if "bo_cfg" in kwargs else DeltaBackend.ZO
 
     def attack(run):
         victim = RowCountingVictim(model)
         oracle = ModelOracle(victim, scores_available=not decision)
-        rep = run(spec, AdmmConfig(rho=1.0, max_queries=budget, success_then_refine=refine),
+        rep = run(spec, AdmmConfig(rho=1.0, max_queries=budget, success_then_refine=refine,
+                                   delta_backend=backend),
                   LossConfig(mode=feedback, smoothing_mu=0.5, smoothing_samples=n_smooth),
-                  oracle, RngStream(seed).child(1), rge_cfg=RgeConfig(q=q, nu=0.2),
-                  init_delta=points[others[0]] - points[0] if decision else None)
+                  oracle, RngStream(seed).child(1),
+                  init_delta=points[others[0]] - points[0] if decision else None, **kwargs)
         return rep, oracle.queries_used, b"".join(call.tobytes() for call in victim.calls)
 
     one, one_ledger, one_rows = attack(run_attack)
@@ -342,6 +370,44 @@ def test_the_one_call_iteration_equals_the_two_call_iteration(
         assert one.final_perturbation.tobytes() == two.final_perturbation.tobytes()
     assert one_ledger == two_ledger
     assert one_rows == two_rows  # the same queries, in the same order
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    feedback=st.sampled_from(list(FeedbackMode)),
+    distortion=st.sampled_from(list(Distortion)),
+    attack_mode=st.sampled_from(list(AttackMode)),
+    refine=st.booleans(),
+    q=st.integers(1, 6),
+    n_smooth=st.integers(1, 4),
+    budget=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_one_call_iteration_equals_the_two_call_iteration(
+        feedback, distortion, attack_mode, refine, q, n_smooth, budget, seed):
+    assert_probe_path_equals_separate_probe(feedback, distortion, attack_mode, refine, budget,
+                                            seed, n_smooth, rge_cfg=RgeConfig(q=q, nu=0.2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    feedback=st.sampled_from(list(FeedbackMode)),
+    distortion=st.sampled_from(list(Distortion)),
+    attack_mode=st.sampled_from(list(AttackMode)),
+    refine=st.booleans(),
+    init_samples=st.integers(1, 3),
+    max_bo_iters=st.integers(0, 2),
+    n_smooth=st.integers(1, 3),
+    budget=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_bo_probe_in_the_last_loss_call_equals_a_separate_probe(
+        feedback, distortion, attack_mode, refine, init_samples, max_bo_iters, n_smooth, budget,
+        seed):
+    bo_cfg = BoConfig(init_samples=init_samples, max_bo_iters=max_bo_iters, ei_restarts=2,
+                      ei_steps=3, max_observations=12, fit_steps=2)
+    assert_probe_path_equals_separate_probe(feedback, distortion, attack_mode, refine, budget,
+                                            seed, n_smooth, bo_cfg=bo_cfg)
 
 
 @settings(max_examples=60, deadline=None)

@@ -323,6 +323,41 @@ class TestAttack:
         assert "invalid setting" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("key, value, extra", [
+        ("rho", "inf", []), ("alpha", "inf", []), ("nu", "nan", []), ("nu", "inf", []),
+        ("gamma", "nan", []), ("gamma", "inf", []), ("kappa", "nan", []),
+        ("beta", "nan", ["--norm", "elastic"]), ("mu", "nan", ["--feedback", "decision"]),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+    def test_non_finite_setting_is_usage_error(self, tmp_path, trained_weights, capsys, how,
+                                               key, value, extra):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        bad = ["--" + key, value] if how == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, *extra, *bad) == EXIT_USAGE
+        assert "invalid setting" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_infinite_eps_runs(self, tmp_path, trained_weights):
+        out = tmp_path / "r"
+        code = run_attack(out, trained_weights, "--eps", "inf", "--pairs", "1", "--budget", "200")
+        assert code in (EXIT_OK, EXIT_NO_SUCCESS)
+        assert json.loads((out / "pair_0000.json").read_text())["config"]["epsilon"] == np.inf
+        assert (out / "aggregate.csv").exists()
+
+    def test_an_infeasible_initializer_is_a_usage_error_before_any_pair_runs(
+            self, tmp_path, trained_weights, capsys):
+        # at this eps, pairs 0 and 1 start on their goal and pair 2 does not
+        out = tmp_path / "r"
+        code = run_attack(out, trained_weights, "--feedback", "decision", "--eps", "0.28",
+                          "--pairs", "40", "--budget", "100")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "pair 2 (target 2)" in err and "does not meet the attack goal" in err
+        assert not list(out.glob("pair_*.json"))
+        assert not (out / "aggregate.csv").exists()
+
     @pytest.mark.parametrize("text", ["0.5,0.5,abc\n", "0.5,0.5,1\n0.5,1\n", "1.5,-0.5,1\n"],
                              ids=["not-numbers", "ragged", "wrong-width"])
     def test_bad_data_file_is_usage_error(self, tmp_path, trained_weights, capsys, text):
