@@ -227,7 +227,8 @@ def _report_to_dict(report: RunReport, pair: int, target: int, timestamp: str) -
         "pair": pair,
         "target": target,
         "timestamp": timestamp,
-        "config": report.config,
+        # JSON has no infinity; of the settings, only --eps may be infinite
+        "config": {k: "inf" if v == math.inf else v for k, v in report.config.items()},
         "records": [vars(r) for r in report.records],
         "summary": dict(zip(SUMMARY_FIELDS, values, strict=True)),
     }
@@ -319,7 +320,10 @@ def cmd_attack(args) -> int:
             raise RunFault(f"pair {pair_idx}: {type(exc).__name__}: {exc}") from exc
 
         doc = _report_to_dict(report, pair_idx, target, timestamp)
-        text = json.dumps(doc, indent=1) + "\n"
+        try:
+            text = json.dumps(doc, indent=1, allow_nan=False) + "\n"
+        except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+            raise RunFault(f"pair {pair_idx}: the report is not valid JSON: {exc}") from None
         # the pairs have run, so a file that cannot be written is a fault
         _on_path("write", "report", out_dir / f"pair_{pair_idx:04d}.json",
                  lambda p: p.write_text(text), RunFault)

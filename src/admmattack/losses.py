@@ -49,44 +49,24 @@ class OracleReplyError(RuntimeError):
     """The victim's reply to a query broke the oracle contract; nothing was charged."""
 
 
-def _query_points(x) -> np.ndarray:
-    """One point (d,) or a stack (n, d) with n >= 1, as contiguous float64."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim not in (1, 2) or arr.shape[0] == 0:
-        raise ValueError(f"a query takes one point (d,) or a stack (n, d), got shape {arr.shape}")
-    return arr
-
-
-def _rowwise(fn, x: np.ndarray) -> np.ndarray:
-    """Apply a per-point function to one point, or to each row of a stack."""
-    return np.asarray(fn(x) if x.ndim == 1 else [fn(row) for row in x])
-
-
-def _per_point(values: np.ndarray):
-    """A Python scalar for one point, the (n,) array for a stack."""
-    return values.item() if values.ndim == 0 else values
-
-
 def _checked_scores(scores, x: np.ndarray) -> np.ndarray:
-    """Scores shaped (K,) for one point or (n, K) for a stack, K >= 1, all
-    finite and non-negative."""
+    """Scores (n, K) for a stack (n, d), K >= 1, all finite and non-negative."""
     s = np.asarray(scores)
-    if s.ndim != x.ndim or s.shape[:-1] != x.shape[:-1] or s.shape[-1] == 0 \
-            or s.dtype.kind not in "fiu":
+    if s.ndim != 2 or len(s) != len(x) or s.shape[1] == 0 or s.dtype.kind not in "fiu":
         raise OracleReplyError(f"scores of shape {s.shape} and dtype {s.dtype} for a query "
-                               f"of shape {x.shape}; expected (K,) or (n, K) numbers")
+                               f"of shape {x.shape}; expected (n, K) numbers")
     if not (s.min() >= 0 and s.max() < np.inf):  # NaN fails both
         raise OracleReplyError("scores must be finite and non-negative")
     return s
 
 
-def _checked_labels(labels, x: np.ndarray):
-    """One non-negative integer for one point, n of them for a stack."""
+def _checked_labels(labels, x: np.ndarray) -> np.ndarray:
+    """Labels (n,) for a stack (n, d), all non-negative integers."""
     arr = np.asarray(labels)
-    if arr.shape != x.shape[:-1] or arr.dtype.kind not in "iu" or arr.min() < 0:
+    if arr.shape != (len(x),) or arr.dtype.kind not in "iu" or arr.min() < 0:
         raise OracleReplyError(f"labels {arr!r} for a query of shape {x.shape}; "
                                "expected one non-negative integer per point")
-    return labels
+    return arr
 
 
 class QueryOracle:
@@ -95,7 +75,8 @@ class QueryOracle:
     Both queries take one point (d,) or a stack (n, d) and charge one query
     per row once the victim's reply has passed its checks; a call that
     raises charges nothing, and a malformed reply raises OracleReplyError.
-    Subclasses implement ``_scores`` (full class scores); an oracle with
+    A point is a one-row stack to ``_scores`` (full class scores), ``_label``
+    and the checks, and gets its row back. An oracle with
     ``scores_available`` false is label-only and refuses score queries.
     """
 
@@ -113,10 +94,15 @@ class QueryOracle:
         return self._charged(self._label, _checked_labels, x)
 
     def _charged(self, answer, check, x):
-        x = _query_points(x)
-        out = check(answer(x), x)
-        self.queries_used += x.shape[0] if x.ndim == 2 else 1
-        return out
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] == 0:
+            raise ValueError(f"a query takes one point (d,) or a stack (n, d), got shape {x.shape}")
+        X = x if x.ndim == 2 else x[None]  # a point is a one-row stack
+        out = check(answer(X), X)
+        self.queries_used += len(X)
+        if x.ndim == 2:
+            return out
+        return out[0] if out.ndim == 2 else out.item()  # (K,) scores or an int label
 
     def _scores(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -142,7 +128,7 @@ class ProcessOracle(QueryOracle):
 
     Request: d comma-separated decimals on one line. Response: K
     comma-separated decimals (scores mode) or one integer (label mode).
-    A stack of points takes one round trip per row.
+    Each row of a stack takes one round trip.
     """
 
     def __init__(self, argv, mode: str = "scores"):
@@ -170,7 +156,7 @@ class ProcessOracle(QueryOracle):
     def _replies(self, x, parse):
         """Each row's reply read by ``parse``, row for row."""
         try:
-            return _rowwise(lambda row: parse(self._roundtrip(row)), x)
+            return np.array([parse(self._roundtrip(row)) for row in x])
         except ValueError as exc:
             raise OracleReplyError(f"unreadable reply from the oracle process: {exc}") from None
 
@@ -180,7 +166,7 @@ class ProcessOracle(QueryOracle):
     def _label(self, x):
         if self.scores_available:
             return super()._label(x)
-        return _per_point(self._replies(x, int))
+        return self._replies(x, int)
 
     def close(self):
         if self.proc.stdin:
@@ -220,7 +206,7 @@ def serve_oracle(model, mode: str = "scores", stdin=None, stdout=None):
 
 def hard_label(scores: np.ndarray):
     """Argmax with lowest class index winning exact ties; one label per row."""
-    return _per_point(np.argmax(scores, axis=-1))
+    return np.argmax(scores, axis=-1)
 
 
 def _goal_met(labels, spec: ProblemSpec):
@@ -253,7 +239,7 @@ def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec, probe: boo
     # the semantics of Python's max(val, -kappa), signed zeros included
     floor = -spec.kappa
     values = np.where(floor > val, floor, val)
-    return (values, _goal_met(hard_label(scores[n]), spec)) if probe else values
+    return (values, bool(_goal_met(hard_label(scores[n]), spec))) if probe else values
 
 
 def decision_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> np.ndarray:

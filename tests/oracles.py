@@ -13,5 +13,4 @@ class FunctionOracle(QueryOracle):
         self.scores_fn = scores_fn
 
     def _scores(self, x):
-        scores = self.scores_fn(x) if x.ndim == 1 else [self.scores_fn(row) for row in x]
-        return np.asarray(scores, dtype=np.float64)
+        return np.asarray([self.scores_fn(row) for row in x], dtype=np.float64)

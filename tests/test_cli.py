@@ -343,8 +343,24 @@ class TestAttack:
         out = tmp_path / "r"
         code = run_attack(out, trained_weights, "--eps", "inf", "--pairs", "1", "--budget", "200")
         assert code in (EXIT_OK, EXIT_NO_SUCCESS)
-        assert json.loads((out / "pair_0000.json").read_text())["config"]["epsilon"] == np.inf
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        doc = json.loads((out / "pair_0000.json").read_text(), parse_constant=reject)
+        assert doc["config"]["epsilon"] == "inf"
         assert (out / "aggregate.csv").exists()
+
+    def test_a_non_finite_report_is_a_run_fault_naming_the_pair(
+            self, tmp_path, trained_weights, monkeypatch, capsys):
+        made = [RunReport(config={}, total_queries=1),
+                RunReport(config={"gamma": float("nan")}, total_queries=1)]
+        monkeypatch.setattr(cli, "run_attack", lambda *args, **kwargs: made.pop(0))
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, "--pairs", "2") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "pair 1" in err and "not valid JSON" in err
+        assert (out / "pair_0000.json").exists()
+        assert not (out / "pair_0001.json").exists()
 
     def test_an_infeasible_initializer_is_a_usage_error_before_any_pair_runs(
             self, tmp_path, trained_weights, capsys):

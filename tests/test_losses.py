@@ -15,6 +15,7 @@ from admmattack.losses import (
     OracleCapabilityError,
     OracleReplyError,
     ProcessOracle,
+    QueryOracle,
     decision_loss,
     hard_label,
     is_success,
@@ -301,14 +302,48 @@ class ScriptedLabels(FunctionOracle):
         return self.labels
 
 
+class RecordingOracle(QueryOracle):
+    """Records the shape of every array its hooks get."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def _scores(self, x):
+        self.calls.append(("scores", x.shape))
+        return np.tile([0.25, 0.75], (len(x), 1))
+
+    def _label(self, x):
+        self.calls.append(("label", x.shape))
+        return np.ones(len(x), dtype=np.int64)
+
+
+def test_hooks_see_stacks_and_a_point_gets_its_row_back():
+    oracle = RecordingOracle()
+    scores = oracle.query_scores(np.full(2, 0.5))
+    label = oracle.query_label(np.full(2, 0.5))
+    assert scores.tolist() == [0.25, 0.75]
+    assert type(label) is int and label == 1
+    assert oracle.queries_used == 2
+    assert oracle.query_scores(np.full((3, 2), 0.5)).shape == (3, 2)
+    assert oracle.query_label(np.full((3, 2), 0.5)).tolist() == [1, 1, 1]
+    assert oracle.queries_used == 2 + 6
+    assert oracle.calls == [("scores", (1, 2)), ("label", (1, 2)),
+                            ("scores", (3, 2)), ("label", (3, 2))]
+
+
 class TestReplyChecks:
     """A malformed reply raises OracleReplyError and charges nothing."""
 
+    # a point reaches the hooks as a one-row stack, so these reply to one
     @pytest.mark.parametrize("scores", [
-        [0.5, np.nan], [0.5, np.inf], [0.5, -np.inf], [1.5, -0.5], [[0.5, 0.5]], [],
-    ], ids=["nan", "inf", "minus-inf", "negative", "a stack for a point", "no classes"])
+        [[0.5, np.nan]], [[0.5, np.inf]], [[0.5, -np.inf]], [[1.5, -0.5]], [[0.5, 0.5]] * 2,
+        [0.5, 0.5], [[]],
+    ], ids=["nan", "inf", "minus-inf", "negative", "a stack for a point", "a row, not a stack",
+            "no classes"])
     def test_bad_scores_for_a_point(self, scores):
-        oracle = FunctionOracle(lambda x: np.array(scores))
+        oracle = FunctionOracle(lambda x: np.array([0.5, 0.5]))
+        oracle._scores = lambda x: np.array(scores)
         with pytest.raises(OracleReplyError):
             oracle.query_scores(np.full(2, 0.5))
         assert oracle.queries_used == 0
@@ -327,15 +362,16 @@ class TestReplyChecks:
         assert oracle.queries_used == 0
 
     @pytest.mark.parametrize("labels, x", [
-        (-1, np.full(2, 0.5)),
-        (1.0, np.full(2, 0.5)),
-        (True, np.full(2, 0.5)),
-        (np.array([1]), np.full(2, 0.5)),
+        (np.array([-1]), np.full(2, 0.5)),
+        (np.array([1.0]), np.full(2, 0.5)),
+        (np.array([True]), np.full(2, 0.5)),
+        (np.array([1, 1]), np.full(2, 0.5)),
+        (np.int64(1), np.full(2, 0.5)),
         (np.array([0, -2]), np.full((2, 2), 0.5)),
         (np.array([0, 1, 1]), np.full((2, 2), 0.5)),
         (np.array([0.0, 1.0]), np.full((2, 2), 0.5)),
-    ], ids=["negative", "float", "bool", "a stack for a point", "negative in a stack",
-            "too many", "float stack"])
+    ], ids=["negative", "float", "bool", "a stack for a point", "a scalar, not a stack",
+            "negative in a stack", "too many", "float stack"])
     def test_bad_labels(self, labels, x):
         oracle = ScriptedLabels(labels)
         with pytest.raises(OracleReplyError):
@@ -343,7 +379,7 @@ class TestReplyChecks:
         assert oracle.queries_used == 0
 
     def test_good_replies_are_charged(self):
-        assert ScriptedLabels(np.int64(3)).query_label(np.full(2, 0.5)) == 3
+        assert ScriptedLabels(np.array([3])).query_label(np.full(2, 0.5)) == 3
         oracle = ScriptedLabels(np.array([0, 2]))
         oracle.query_label(np.full((2, 2), 0.5))
         oracle.query_scores(np.full((2, 2), 0.5))
