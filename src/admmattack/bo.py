@@ -35,8 +35,9 @@ class BoConfig:
     def __post_init__(self):
         if min(self.init_samples, self.ei_restarts, self.ei_steps, self.max_observations) < 1:
             raise ValueError("BO counts must be positive")
-        if not (self.ei_learning_rate > 0 and self.fit_learning_rate > 0):  # NaN fails too
-            raise ValueError("learning rates must be positive")
+        for rate in (self.ei_learning_rate, self.fit_learning_rate):
+            if not 0 < rate < math.inf:  # NaN fails too
+                raise ValueError("learning rates must be positive and finite")
         if min(self.max_bo_iters, self.fit_steps) < 0:
             raise ValueError("max_bo_iters and fit_steps must be nonnegative")
 

@@ -64,7 +64,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", as_vector(self.x0))
-        if np.any(self.x0 < 0.0) or np.any(self.x0 > 1.0):
+        if not np.all((self.x0 >= 0.0) & (self.x0 <= 1.0)):  # NaN fails too
             raise ValueError("x0 must lie in [0,1]^d")
         if not (0 <= self.target < self.num_classes):
             raise ValueError("target class out of range")

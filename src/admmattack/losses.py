@@ -146,8 +146,12 @@ class ProcessOracle(QueryOracle):
 
     def _roundtrip(self, x: np.ndarray) -> str:
         line = ",".join(repr(float(v)) for v in x)
-        self.proc.stdin.write(line + "\n")
-        self.proc.stdin.flush()
+        try:
+            self.proc.stdin.write(line + "\n")
+            self.proc.stdin.flush()
+        except OSError as exc:  # the child is gone, or going
+            raise RuntimeError(f"oracle process cannot take a query (exit code "
+                               f"{self.proc.poll()}): {exc}") from None
         reply = self.proc.stdout.readline()
         if not reply:
             raise RuntimeError("oracle process closed its output stream")
@@ -170,7 +174,10 @@ class ProcessOracle(QueryOracle):
 
     def close(self):
         if self.proc.stdin:
-            self.proc.stdin.close()
+            try:
+                self.proc.stdin.close()
+            except BrokenPipeError:  # a dead child cannot take the final flush
+                pass
         self.proc.wait(timeout=10)
 
 

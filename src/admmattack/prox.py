@@ -13,6 +13,7 @@ make the nonzero branch lose; exact ties go to 0 for sparsity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +42,13 @@ class ZStepInput:
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a))
         object.__setattr__(self, "x0", as_vector(self.x0))
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 < self.rho < math.inf:  # NaN fails too
+            raise ValueError("rho must be positive and finite")
+        for name in ("gamma", "beta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        if not self.epsilon > 0:  # an infinite epsilon leaves only the box
+            raise ValueError("epsilon must be positive")
         if self.a.shape != self.x0.shape:
             raise ValueError("a and x0 must have the same length")
         lo, hi = feasible_bounds(self.x0, self.epsilon)

@@ -640,6 +640,8 @@ class TestFixedPointExit:
     {"fit_learning_rate": math.nan},
     {"ei_learning_rate": math.nan},
     {"ei_learning_rate": -1.0},
+    {"ei_learning_rate": math.inf},
+    {"fit_learning_rate": math.inf},
 ])
 def test_config_rejects_bad_fit_and_ascent_settings(bad):
     with pytest.raises(ValueError):

@@ -182,3 +182,5 @@ class TestProblemSpec:
             ProblemSpec(x0=x0, target=0, num_classes=3, epsilon=0.0)
         with pytest.raises(ValueError):
             ProblemSpec(x0=np.array([1.5]), target=0, num_classes=3, epsilon=0.5)
+        with pytest.raises(ValueError):
+            ProblemSpec(x0=np.array([np.nan, 0.5]), target=0, num_classes=2, epsilon=1.0)

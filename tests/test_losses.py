@@ -290,6 +290,18 @@ class TestProcessOracle:
         finally:
             oracle.close()
 
+    def test_a_dead_child_is_a_runtime_error_and_is_reaped(self):
+        child = "import sys; sys.stdin.readline(); print(1, flush=True); sys.exit(5)"
+        oracle = ProcessOracle([sys.executable, "-c", child], mode="label")
+        assert oracle.query_label(np.array([0.5, 0.5])) == 1
+        oracle.proc.wait(timeout=10)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="exit code 5"):
+                oracle.query_label(np.array([0.5, 0.5]))
+        assert oracle.queries_used == 1
+        oracle.close()
+        assert oracle.proc.returncode == 5
+
 
 class ScriptedLabels(FunctionOracle):
     """Replies to label queries with a fixed answer, whatever the point."""

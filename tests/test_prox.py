@@ -183,6 +183,12 @@ def test_gamma_never_increases_distortion(distortion):
             prev = val
 
 
-def test_rho_must_be_positive():
+@pytest.mark.parametrize("eps, gamma, rho, beta", [
+    (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, np.nan, 0.0), (1.0, 1.0, np.inf, 0.0),
+    (1.0, np.nan, 1.0, 0.0), (np.nan, 1.0, 1.0, 0.0), (-1.0, 1.0, 1.0, 0.0),
+    (1.0, 1.0, 1.0, np.nan),
+], ids=["rho-zero", "rho-nan", "rho-inf", "gamma-nan", "eps-nan", "eps-negative", "beta-nan"])
+def test_settings_out_of_range_are_rejected(eps, gamma, rho, beta):
+    """Unchecked, each of these settings gives a NaN or infeasible z."""
     with pytest.raises(ValueError):
-        make_input(0.1, 0.5, 1.0, 1.0, 0.0, Distortion.L2)
+        make_input(0.1, 0.5, eps, gamma, rho, Distortion.ELASTIC, beta)
