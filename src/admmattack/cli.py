@@ -148,6 +148,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"--lr must be positive and finite, got {args.lr}")
     if args.hidden < 1:
         raise UsageError(f"--hidden must be at least 1, got {args.hidden}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     data = _load_dataset(args.data)
     rng = RngStream(args.seed)
     k = int(np.max(data.labels)) + 1
@@ -248,6 +250,8 @@ def cmd_attack(args) -> int:
         raise UsageError("--budget must be positive")
     if settings["pairs"] < 1:
         raise UsageError("--pairs must be positive")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     try:
         distortion = Distortion(settings["norm"])
     except ValueError:
@@ -390,8 +394,8 @@ def cmd_serve(args) -> int:
     model = _on_path("read", "weight file", args.weights, load_weights)
     try:
         serve_oracle(model, mode=args.mode)
-    except ValueError as exc:
-        raise RunFault(str(exc)) from exc
+    except (ValueError, EOFError) as exc:
+        raise RunFault(f"bad request: {exc}") from exc
     except BrokenPipeError:
         # the unsent reply would fail again when Python flushes stdout at exit
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -444,9 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("dir", help="directory of pair_*.json reports")
     p_report.set_defaults(func=cmd_report)
 
-    p_serve = sub.add_parser(
-        "serve", help="serve a victim over the line-delimited oracle protocol"
-    )
+    p_serve = sub.add_parser("serve", help="serve a victim over the framed oracle protocol")
     p_serve.add_argument("--weights", required=True)
     p_serve.add_argument("--mode", choices=("scores", "label"), default="scores")
     p_serve.set_defaults(func=cmd_serve)

@@ -81,6 +81,12 @@ class ProblemSpec:
         return self.x0.shape[0]
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm as an (n, 1) column: one dot product per row,
+    so bitwise equal to np.linalg.norm of the row."""
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0])
+
+
 class RngStream:
     """Deterministic random stream with reproducible child derivation.
 
@@ -126,7 +132,7 @@ class RngStream:
         for i, row in enumerate(g):
             normal(out=row)
             r[i] = random() ** power  # a Python float power
-        norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0])
+        norms = row_norms(g)
         if not norms.all():
             raise ValueError("a unit-ball direction drew an all-zero normal vector")
         g /= norms

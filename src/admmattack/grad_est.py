@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector
+from .core import RngStream, as_vector, row_norms
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
     delta = as_vector(delta)
     d = delta.shape[0]
     u = rng.standard_normal((cfg.q, d))
-    u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])  # row norms, bitwise equal to np.linalg.norm
+    u /= row_norms(u)
     points = np.empty((cfg.q + 1, d))
     points[0] = delta
     np.multiply(u, cfg.nu, out=points[1:])

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +125,42 @@ class ModelOracle(QueryOracle):
         return self.model.predict_scores(x)
 
 
-class ProcessOracle(QueryOracle):
-    """Line-delimited oracle over a subprocess's standard streams.
+_FRAME_HEADER = struct.Struct("<QQ")  # (rows, cols); see ProcessOracle
 
-    Request: d comma-separated decimals on one line. Response: K
-    comma-separated decimals (scores mode) or one integer (label mode).
-    Each row of a stack takes one round trip.
+
+def _write_frame(stream, a: np.ndarray) -> None:
+    """Write the (rows, cols) array a as one frame: int64 if it holds integers, else float64."""
+    a = np.ascontiguousarray(a, dtype="<i8" if a.dtype.kind in "iu" else "<f8")
+    stream.write(_FRAME_HEADER.pack(*a.shape) + a.tobytes())
+    stream.flush()
+
+
+def _read_frame(stream, dtype: str = "<f8", rows: int = 0, cols: int = 0) -> np.ndarray:
+    """The next frame as a (rows, cols) array of ``dtype``. A header whose shape
+    differs from a nonzero ``rows`` or ``cols``, or that cannot be allocated, raises
+    ValueError before the body is read; a stream that ends inside the frame, EOFError."""
+    head = stream.read(_FRAME_HEADER.size)
+    if len(head) < _FRAME_HEADER.size:
+        raise EOFError(f"the stream ended {len(head)} bytes into a frame header")
+    got = _FRAME_HEADER.unpack(head)
+    want = (rows or got[0], cols or got[1])
+    if got != want:
+        raise ValueError(f"a frame of {got[0]} x {got[1]} values, expected {want[0]} x {want[1]}")
+    try:
+        out = np.empty(got, dtype=dtype)
+    except (MemoryError, ValueError):
+        raise ValueError(f"a frame of {got[0]} x {got[1]} values cannot be allocated") from None
+    if stream.readinto(out) < out.nbytes:
+        raise EOFError(f"the stream ended inside a frame of {got[0]} x {got[1]} values")
+    return out
+
+
+class ProcessOracle(QueryOracle):
+    """Oracle over a subprocess's standard streams, one frame each way per stack.
+
+    A frame is (rows, cols) as little-endian uint64, then the values row by
+    row as little-endian 8-byte numbers. Request: the (n, d) float64 stack.
+    Reply: the (n, K) float64 scores, or in label mode (n, 1) int64 labels.
     """
 
     def __init__(self, argv, mode: str = "scores"):
@@ -136,79 +168,38 @@ class ProcessOracle(QueryOracle):
         if mode not in ("scores", "label"):
             raise ValueError("mode must be 'scores' or 'label'")
         self.scores_available = mode == "scores"
-        self.proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
-    def _roundtrip(self, x: np.ndarray) -> str:
-        line = ",".join(repr(float(v)) for v in x)
+    def _exchange(self, x: np.ndarray, dtype: str = "<f8", cols: int = 0) -> np.ndarray:
         try:
-            self.proc.stdin.write(line + "\n")
-            self.proc.stdin.flush()
+            _write_frame(self.proc.stdin, x)
+            return _read_frame(self.proc.stdout, dtype, len(x), cols)
         except OSError as exc:  # the child is gone, or going
             raise RuntimeError(f"oracle process cannot take a query (exit code "
                                f"{self.proc.poll()}): {exc}") from None
-        reply = self.proc.stdout.readline()
-        if not reply:
-            raise RuntimeError("oracle process closed its output stream")
-        return reply.strip()
-
-    def _replies(self, x, parse):
-        """Each row's reply read by ``parse``, row for row."""
-        try:
-            return np.array([parse(self._roundtrip(row)) for row in x])
+        except EOFError as exc:
+            raise RuntimeError(f"oracle process closed its output stream: {exc}") from None
         except ValueError as exc:
-            raise OracleReplyError(f"unreadable reply from the oracle process: {exc}") from None
+            raise OracleReplyError(f"bad reply from the oracle process: {exc}") from None
 
-    def _scores(self, x):
-        return self._replies(x, lambda reply: [float(t) for t in reply.split(",")])
+    _scores = _exchange  # float64 replies of any width
 
     def _label(self, x):
         if self.scores_available:
             return super()._label(x)
-        return self._replies(x, int)
+        return self._exchange(x, "<i8", cols=1)[:, 0]
 
     def close(self):
-        if self.proc.stdin:
-            try:
-                self.proc.stdin.close()
-            except BrokenPipeError:  # a dead child cannot take the final flush
-                pass
-        self.proc.wait(timeout=10)
+        self.proc.communicate(timeout=10)  # closes stdin, drains stdout, reaps the child
 
 
-def serve_oracle(model, mode: str = "scores", stdin=None, stdout=None):
-    """Serve a victim model over the line-delimited protocol until EOF.
-
-    A request that is not model.dim comma-separated numbers raises
-    ValueError naming its 1-based line.
-    """
-    import sys
-
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    for lineno, line in enumerate(stdin, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            x = np.array([float(t) for t in line.split(",")])
-        except ValueError:
-            raise ValueError(f"request line {lineno} is not comma-separated numbers: "
-                             f"{line[:80]!r}") from None
-        if x.shape != (model.dim,):
-            raise ValueError(f"request line {lineno} has {x.size} values, "
-                             f"the victim takes {model.dim}")
-        scores = model.predict_scores(x)
-        if mode == "scores":
-            stdout.write(",".join(repr(float(s)) for s in scores) + "\n")
-        else:
-            stdout.write(f"{hard_label(scores)}\n")
-        stdout.flush()
+def serve_oracle(model, mode: str = "scores"):
+    """Answer each frame on stdin with one ``predict_scores`` of its stack,
+    framed on stdout as ProcessOracle reads it, until EOF. A request cut
+    short raises EOFError; one that is not model.dim wide, ValueError."""
+    while sys.stdin.buffer.peek(1):  # not at EOF
+        scores = model.predict_scores(_read_frame(sys.stdin.buffer, cols=model.dim))
+        _write_frame(sys.stdout.buffer, scores if mode == "scores" else hard_label(scores)[:, None])
 
 
 def hard_label(scores: np.ndarray):

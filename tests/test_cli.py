@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -518,42 +519,76 @@ class TestReport:
         assert out["asr"] == 0.0
 
 
+def frame(a, dtype="<f8"):
+    """One frame of the serve protocol: (rows, cols) as little-endian
+    uint64, then the values as little-endian 8-byte numbers."""
+    a = np.asarray(a, dtype=dtype)
+    return struct.pack("<QQ", *a.shape) + a.tobytes()
+
+
+def unframe(data, dtype="<f8"):
+    """Every frame in data, as arrays."""
+    out = []
+    while data:
+        rows, cols = struct.unpack("<QQ", data[:16])
+        body, data = data[16:16 + 8 * rows * cols], data[16 + 8 * rows * cols:]
+        out.append(np.frombuffer(body, dtype=dtype).reshape(rows, cols))
+    return out
+
+
 class TestServe:
-    def serve(self, monkeypatch, weights, text):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        return main(["serve", "--weights", str(weights)])
+    def serve(self, monkeypatch, weights, data, mode="scores"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BufferedReader(io.BytesIO(data))))
+        return main(["serve", "--weights", str(weights), "--mode", mode])
 
-    @pytest.mark.parametrize("text, line, answered", [
-        ("abc\n", 1, 0),
-        ("\n" + ",".join(["0.5"] * 64) + "\n0.5,0.5\n", 3, 1),
-        (",".join(["0.5"] * 65) + "\n", 1, 0),
-    ], ids=["not-numbers", "too-few-values-on-line-3", "too-many-values"])
-    def test_bad_request_is_a_run_fault_naming_its_line(self, monkeypatch, capsys,
-                                                         trained_weights, text, line, answered):
-        assert self.serve(monkeypatch, trained_weights, text) == EXIT_RUNTIME
-        out, err = capsys.readouterr()
-        assert f"request line {line} " in err
-        assert len(out.splitlines()) == answered
+    @pytest.mark.parametrize("data, words, answered", [
+        (b"abc\n", ["ended 4 bytes into a frame header"], 0),
+        (frame(np.full((1, 64), 0.5)) + frame(np.full((1, 63), 0.5)), ["1 x 63", "1 x 64"], 1),
+        (frame(np.full((1, 65), 0.5)), ["1 x 65", "1 x 64"], 0),
+        (frame(np.full((2, 64), 0.5))[:-8], ["ended inside a frame of 2 x 64"], 0),
+        (struct.pack("<QQ", 2 ** 40, 64), ["1099511627776 x 64", "cannot be allocated"], 0),
+    ], ids=["header-cut-short", "too-narrow-second-request", "too-wide", "body-cut-short",
+            "2^40-rows-then-EOF"])
+    def test_bad_request_is_a_one_line_run_fault(self, monkeypatch, capsysbinary,
+                                                 trained_weights, data, words, answered):
+        assert self.serve(monkeypatch, trained_weights, data) == EXIT_RUNTIME
+        out, err = capsysbinary.readouterr()
+        err = err.decode()
+        assert err.startswith("error: bad request: ") and len(err.splitlines()) == 1, err
+        assert all(word in err for word in words), err
+        assert len(unframe(out)) == answered
 
-    def test_good_requests_are_answered(self, monkeypatch, capsys, trained_weights):
-        row = ",".join(["0.25"] * 64)
-        assert self.serve(monkeypatch, trained_weights, f"{row}\n\n{row}\n") == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2 and len(lines[0].split(",")) == 10
+    def test_good_requests_are_answered(self, monkeypatch, capsysbinary, trained_weights):
+        # one reply frame per request, in both modes
+        model = load_weights(trained_weights)
+        X = np.linspace(0.0, 1.0, 4 * 64).reshape(4, 64)
+        data = frame(X[:1]) + frame(X[1:])
+        assert self.serve(monkeypatch, trained_weights, data) == EXIT_OK
+        out = capsysbinary.readouterr().out
+        assert [a.shape for a in unframe(out)] == [(1, 10), (3, 10)]
+        assert out == frame(model.predict_scores(X[:1])) + frame(model.predict_scores(X[1:]))
+        assert self.serve(monkeypatch, trained_weights, data, "label") == EXIT_OK
+        labels = [model.predict_label(x)[:, None] for x in (X[:1], X[1:])]
+        assert capsysbinary.readouterr().out == b"".join(frame(a, "<i8") for a in labels)
 
     def test_a_client_that_stops_reading_is_a_run_fault(self, trained_weights):
         # the client closes its end of the reply pipe before it sends a request
         src = str(Path(cli.__file__).resolve().parent.parent)
-        with subprocess.Popen(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "admmattack.cli", "serve", "--weights", str(trained_weights)],
             env={**os.environ, "PYTHONPATH": src}, stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        ) as proc:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
             proc.stdout.close()
-            proc.stdin.write((",".join(["0.25"] * 64) + "\n") * 3)
+            proc.stdin.write(frame(np.full((1, 64), 0.25)) * 3)
             proc.stdin.close()
             assert proc.wait(timeout=60) == EXIT_RUNTIME
-            err = proc.stderr.read()
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
         assert len(err.splitlines()) == 1, err  # no traceback, no "Exception ignored"
         assert err.startswith("error: ") and "reply stream" in err
 
@@ -579,6 +614,14 @@ class TestUsage:
         monkeypatch.setattr(cli, "summarize_reports", broken)
         with pytest.raises(ValueError, match="not a usage error"):
             main(["report", str(tmp_path)])
+
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    def test_a_negative_seed_is_usage_error(self, tmp_path, trained_weights, capsys, command):
+        args = {"train": ["train", "--epochs", "1"],
+                "attack": ["attack", "--weights", str(trained_weights), "--pairs", "1"]}[command]
+        assert main(args + ["--seed", "-1", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing written
 
     @pytest.mark.parametrize("case", ["attack-out-is-a-file", "train-out-is-a-directory",
                                       "train-out-in-a-missing-directory"])

@@ -12,6 +12,7 @@ from admmattack.core import (
     feasible_bounds,
     lp_norms,
     project_box_linf,
+    row_norms,
 )
 
 
@@ -110,6 +111,13 @@ def test_norms_equal_the_sum_form_bitwise():
         norms, dists = reference_norms(v, beta)
         assert lp_norms(v) == norms
         assert tuple(distortion_value(v, dist, beta) for dist in order) == dists
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64])
+def test_row_norms_equal_np_linalg_norm_bitwise(d):
+    a = RngStream(13).standard_normal((50, d)) * np.logspace(-150, 150, 50)[:, None]
+    assert row_norms(a).shape == (50, 1)
+    assert row_norms(a)[:, 0].tolist() == [np.linalg.norm(row) for row in a]
 
 
 class TestDistortionValue:

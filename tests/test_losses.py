@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from oracles import FunctionOracle
 
+from admmattack import losses
 from admmattack.core import AttackMode, ProblemSpec, RngStream
 from admmattack.losses import (
     PROB_FLOOR,
@@ -262,45 +264,114 @@ def test_query_ledger_exactness():
     assert oracle.queries_used == 1 + 1 + 5 + 1
 
 
+@contextlib.contextmanager
+def spawned(argv, mode):
+    """A ProcessOracle over argv; its child is killed and reaped on the way out."""
+    oracle = ProcessOracle(argv, mode=mode)
+    try:
+        yield oracle
+    finally:
+        oracle.proc.kill()
+        oracle.close()
+
+
+def serve_argv(model, tmp_path, mode):
+    path = tmp_path / "victim.weights"
+    save_weights(model, path)
+    return [sys.executable, "-m", "admmattack.cli", "serve", "--weights", str(path),
+            "--mode", mode]
+
+
+def child_argv(script):
+    """A Python child that runs ``script`` with struct and sys imported."""
+    return [sys.executable, "-c", "import struct, sys\n" + script]
+
+
+# what a child reads as one (1, 2) float64 request, header and body
+READ_REQUEST = "sys.stdin.buffer.read(16 + 16)\n"
+
+
 class TestProcessOracle:
-    def _spawn(self, tmp_path, mode):
-        model = SoftmaxModel(np.array([[0.0, 0.0], [2.0, -1.0]]), np.array([0.0, 0.5]))
-        path = tmp_path / "victim.weights"
-        save_weights(model, path)
-        argv = [sys.executable, "-m", "admmattack.cli", "serve",
-                "--weights", str(path), "--mode", mode]
-        return model, ProcessOracle(argv, mode=mode)
+    model = SoftmaxModel(np.array([[0.0, 0.0], [2.0, -1.0]]), np.array([0.0, 0.5]))
 
     def test_scores_roundtrip(self, tmp_path):
-        model, oracle = self._spawn(tmp_path, "scores")
-        try:
+        with spawned(serve_argv(self.model, tmp_path, "scores"), "scores") as oracle:
             x = np.array([0.25, 0.75])
-            np.testing.assert_allclose(oracle.query_scores(x), model.predict_scores(x))
+            np.testing.assert_allclose(oracle.query_scores(x), self.model.predict_scores(x))
             assert oracle.queries_used == 1
-        finally:
-            oracle.close()
 
     def test_label_mode(self, tmp_path):
-        model, oracle = self._spawn(tmp_path, "label")
-        try:
+        with spawned(serve_argv(self.model, tmp_path, "label"), "label") as oracle:
             x = np.array([0.9, 0.1])
-            assert oracle.query_label(x) == model.predict_label(x)
+            assert oracle.query_label(x) == self.model.predict_label(x)
             with pytest.raises(OracleCapabilityError):
                 oracle.query_scores(x)
-        finally:
-            oracle.close()
+
+    def test_engine_shapes_take_one_frame_each_way(self, tmp_path, monkeypatch, softmax_victim):
+        # a ZO score iteration's (22, 64) stack and a decision one's (211, 64)
+        X = RngStream(5).uniform(0.0, 1.0, size=(211, 64))
+        frames = []
+        write, read = losses._write_frame, losses._read_frame
+
+        def write_frame(stream, a):
+            frames.append(a.shape)
+            write(stream, a)
+
+        def read_frame(*args):
+            out = read(*args)
+            frames.append(out.shape)
+            return out
+
+        monkeypatch.setattr(losses, "_write_frame", write_frame)
+        monkeypatch.setattr(losses, "_read_frame", read_frame)
+        local = ModelOracle(softmax_victim)
+        with spawned(serve_argv(softmax_victim, tmp_path, "scores"), "scores") as oracle:
+            scores = oracle.query_scores(X[:22])
+            assert oracle.queries_used == 22
+        assert frames == [(22, 64), (22, 10)]
+        expected = local.query_scores(X[:22])
+        assert scores.dtype == expected.dtype and scores.tobytes() == expected.tobytes()
+        frames.clear()
+        with spawned(serve_argv(softmax_victim, tmp_path, "label"), "label") as oracle:
+            labels = oracle.query_label(X)
+            assert oracle.queries_used == 211
+        assert frames == [(211, 64), (211, 1)]
+        expected = local.query_label(X)
+        assert labels.dtype == np.int64 and np.array_equal(labels, expected)
+        assert len(set(expected.tolist())) > 1  # the labels say something
 
     def test_a_dead_child_is_a_runtime_error_and_is_reaped(self):
-        child = "import sys; sys.stdin.readline(); print(1, flush=True); sys.exit(5)"
-        oracle = ProcessOracle([sys.executable, "-c", child], mode="label")
-        assert oracle.query_label(np.array([0.5, 0.5])) == 1
-        oracle.proc.wait(timeout=10)
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="exit code 5"):
-                oracle.query_label(np.array([0.5, 0.5]))
-        assert oracle.queries_used == 1
-        oracle.close()
-        assert oracle.proc.returncode == 5
+        # the child answers one label query with label 1, then exits with code 5
+        child = READ_REQUEST + "sys.stdout.buffer.write(struct.pack('<QQq', 1, 1, 1))\nsys.exit(5)"
+        with spawned(child_argv(child), "label") as oracle:
+            assert oracle.query_label(np.array([0.5, 0.5])) == 1
+            oracle.proc.wait(timeout=10)
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="exit code 5"):
+                    oracle.query_label(np.array([0.5, 0.5]))
+            assert oracle.queries_used == 1
+            oracle.close()
+            assert oracle.proc.returncode == 5
+
+    # Each child reads one request and replies with ``reply``, then exits.
+    # A reply with the wrong shape fails on its header: a client that read
+    # the missing body first would see the end of the stream instead.
+    @pytest.mark.parametrize("mode, reply, fault", [
+        ("scores", "struct.pack('<QQd', 1, 2, 0.5)", RuntimeError),
+        ("label", "b''", RuntimeError),
+        ("scores", "struct.pack('<QQ', 2, 2)", OracleReplyError),
+        ("label", "struct.pack('<QQ', 1, 2)", OracleReplyError),
+    ], ids=["a reply cut short", "a closed output stream", "a reply with the wrong row count",
+            "a label reply with two columns"])
+    def test_a_bad_reply_is_a_typed_one_line_fault_and_charges_nothing(self, mode, reply, fault):
+        child = READ_REQUEST + f"sys.stdout.buffer.write({reply})\n"
+        with spawned(child_argv(child), mode) as oracle:
+            query = oracle.query_scores if mode == "scores" else oracle.query_label
+            with pytest.raises(RuntimeError) as info:
+                query(np.array([0.5, 0.5]))
+            assert type(info.value) is fault
+            assert "\n" not in str(info.value) and info.value.__suppress_context__
+            assert oracle.queries_used == 0
 
 
 class ScriptedLabels(FunctionOracle):
@@ -398,15 +469,7 @@ class TestReplyChecks:
         assert oracle.queries_used == 4
 
     def test_label_client_of_a_scores_child(self, tmp_path):
-        model = SoftmaxModel(np.array([[0.0, 0.0], [2.0, -1.0]]), np.array([0.0, 0.5]))
-        path = tmp_path / "victim.weights"
-        save_weights(model, path)
-        argv = [sys.executable, "-m", "admmattack.cli", "serve",
-                "--weights", str(path), "--mode", "scores"]
-        oracle = ProcessOracle(argv, mode="label")
-        try:
+        with spawned(serve_argv(TestProcessOracle.model, tmp_path, "scores"), "label") as oracle:
             with pytest.raises(OracleReplyError):
                 oracle.query_label(np.array([0.9, 0.1]))
             assert oracle.queries_used == 0
-        finally:
-            oracle.close()
