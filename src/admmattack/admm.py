@@ -30,7 +30,7 @@ from .core import (
     lp_norms,
     project_box_linf,
 )
-from .grad_est import RgeConfig, rge_with_base
+from .grad_est import DirectionSource, RgeConfig, rge_with_base
 from .losses import (
     FeedbackMode,
     LossConfig,
@@ -295,6 +295,7 @@ def run_attack(
         _, best = _keep_best(best, delta0, spec, True, oracle.queries_used)
     state = AttackState(delta=delta0, z=np.array(delta0), u=np.zeros(spec.dim), best=best)
 
+    rge_cfg = rge_cfg or RgeConfig()
     delta_step, evals = make_delta_step(spec, cfg, rge_cfg, bo_cfg)
     loss = make_loss(spec, loss_cfg, oracle, rng.child(1))
     iter_rng = rng.child(2)
@@ -320,11 +321,23 @@ def run_attack(
     iter_cost = evals * rows_per_eval + 1
 
     start_queries = oracle.queries_used
-    while oracle.queries_used - start_queries + iter_cost <= cfg.max_queries:
-        if state.best.queries_at_success is not None and not cfg.success_then_refine:
-            break
-        state, record = admm_iterate(state, spec, cfg, oracle, iter_rng, loss, delta_step)
-        report.records.append(record)
+    # ZO's RGE directions depend on the iteration stream alone, so a
+    # DirectionSource that owns the stream draws them ahead, on a thread that
+    # the finally joins. BO's draws interleave with data-dependent
+    # fallbacks, so BO keeps the stream.
+    source = None
+    if cfg.delta_backend is DeltaBackend.ZO:
+        source = DirectionSource(iter_rng, rge_cfg.q, spec.dim, cfg.max_queries // iter_cost)
+    try:
+        while oracle.queries_used - start_queries + iter_cost <= cfg.max_queries:
+            if state.best.queries_at_success is not None and not cfg.success_then_refine:
+                break
+            state, record = admm_iterate(state, spec, cfg, oracle, source or iter_rng, loss,
+                                         delta_step)
+            report.records.append(record)
+    finally:
+        if source is not None:
+            source.close()
 
     best = state.best
     if best.queries_at_success is not None:

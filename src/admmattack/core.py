@@ -118,6 +118,14 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self.gen.permutation(n)
 
+    def unit_directions(self, n: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n directions on the unit sphere, as an (n, d) stack (in ``out`` if
+        given): one standard_normal((n, d)) draw, each row divided by its norm.
+        Row for row, one (n, d) draw gives the bits of successive smaller ones."""
+        u = self.gen.standard_normal((n, d), out=out)
+        u /= row_norms(u)
+        return u
+
     def unit_ball(self, n: int, d: int) -> np.ndarray:
         """n uniform draws inside the unit Euclidean ball, as an (n, d) stack.
 

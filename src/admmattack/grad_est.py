@@ -2,16 +2,23 @@
 
 Forward differences over Q random directions sharing one base evaluation,
 so each call costs exactly Q + 1 loss evaluations, made in one loss call.
+A run's directions can be drawn ahead of its iterations, on a helper
+thread, by a :class:`DirectionSource`.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector, row_norms
+from .core import RngStream, as_vector
+
+# Iterations whose directions a DirectionSource draws in one block.
+BLOCK_ITERATIONS = 16
 
 
 @dataclass(frozen=True)
@@ -31,13 +38,13 @@ def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
 
     ``loss`` maps an (n, d) stack of perturbations to n values. The base
     point and the Q perturbed points go to it in one call of Q + 1 rows,
-    base first. The directions u_j lie on the unit sphere: one (Q, d)
-    standard normal draw, each row divided by its norm.
+    base first. The directions u_j lie on the unit sphere, drawn by
+    ``rng.unit_directions(Q, d)``; ``rng`` is an RngStream or a
+    DirectionSource.
     """
     delta = as_vector(delta)
     d = delta.shape[0]
-    u = rng.standard_normal((cfg.q, d))
-    u /= row_norms(u)
+    u = rng.unit_directions(cfg.q, d)
     points = np.empty((cfg.q + 1, d))
     points[0] = delta
     np.multiply(u, cfg.nu, out=points[1:])
@@ -52,3 +59,77 @@ def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
     grad = u.sum(axis=0)
     grad *= d / (cfg.nu * cfg.q)
     return grad, base
+
+
+class DirectionSource:
+    """The RGE directions of one run, drawn ahead of its iterations.
+
+    It owns ``rng``: its ``unit_directions(q, d)`` calls give the (q, d)
+    blocks that as many ``rng.unit_directions(q, d)`` calls would, bit for
+    bit, for up to ``iterations`` calls. The first BLOCK_ITERATIONS
+    iterations are drawn here. A daemon thread draws each later block with
+    one ``rng.unit_directions`` call into a ring of two blocks allocated
+    here, while the caller reads the other; NumPy's draw and the row norms
+    release the GIL, so the draws overlap the caller's work. The caller
+    re-raises whatever the thread raised. ``close`` stops and joins the
+    thread; a source of at most BLOCK_ITERATIONS iterations starts none.
+    """
+
+    def __init__(self, rng: RngStream, q: int, d: int, iterations: int):
+        self._shape = (q, d)
+        rows = q * min(iterations, BLOCK_ITERATIONS)
+        later = iterations - BLOCK_ITERATIONS  # iterations the thread draws
+        ring = np.empty((2 if later > 0 else 1, rows, d))
+        self._block, self._used = rng.unit_directions(rows, d, out=ring[0]), 0
+        self._calls_left = iterations
+        self._free, self._full = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = None
+        if later > 0:
+            self._free.put(ring[1])
+            self._thread = threading.Thread(target=self._draw, args=(rng, later),
+                                            name="rge-directions", daemon=True)
+            self._thread.start()
+
+    def _draw(self, rng: RngStream, left: int) -> None:
+        """The thread: fill each free block with the next draw until ``left``
+        iterations are drawn or close() frees None."""
+        q, d = self._shape
+        try:
+            while left > 0:
+                block = self._free.get()
+                if block is None:
+                    return
+                rows = q * min(left, BLOCK_ITERATIONS)
+                self._full.put(rng.unit_directions(rows, d, out=block[:rows]))
+                left -= BLOCK_ITERATIONS
+        except BaseException as exc:  # handed to the caller, which raises it
+            self._full.put(exc)
+
+    def unit_directions(self, n: int, d: int) -> np.ndarray:
+        """The next (n, d) directions, with (n, d) the source's (q, d). The
+        rows are the caller's until its next call."""
+        if (n, d) != self._shape:
+            raise ValueError(f"this source draws {self._shape} blocks, not {(n, d)}")
+        if not self._calls_left:
+            raise RuntimeError("the run's directions are spent")
+        self._calls_left -= 1
+        if self._used == len(self._block):
+            self._free.put(self._block)
+            self._block, self._used = self._full.get(), 0
+            if isinstance(self._block, BaseException):
+                raise self._block
+        u = self._block[self._used:self._used + n]
+        self._used += n
+        return u
+
+    def close(self) -> None:
+        """Stop and join the thread, then raise what it raised that no
+        call reached."""
+        if self._thread is not None:
+            self._free.put(None)
+            self._thread.join()
+            self._thread = None
+        while not self._full.empty():
+            item = self._full.get()
+            if isinstance(item, BaseException):
+                raise item

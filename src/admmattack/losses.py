@@ -52,11 +52,11 @@ class OracleReplyError(RuntimeError):
 
 
 def _checked_scores(scores, x: np.ndarray) -> np.ndarray:
-    """Scores (n, K) for a stack (n, d), K >= 1, all finite and non-negative."""
+    """Scores (n, K) for a stack (n, d), K >= 2 classes, all finite and non-negative."""
     s = np.asarray(scores)
-    if s.ndim != 2 or len(s) != len(x) or s.shape[1] == 0 or s.dtype.kind not in "fiu":
+    if s.ndim != 2 or len(s) != len(x) or s.shape[1] < 2 or s.dtype.kind not in "fiu":
         raise OracleReplyError(f"scores of shape {s.shape} and dtype {s.dtype} for a query "
-                               f"of shape {x.shape}; expected (n, K) numbers")
+                               f"of shape {x.shape}; expected (n, K) numbers, K >= 2")
     if not (s.min() >= 0 and s.max() < np.inf):  # NaN fails both
         raise OracleReplyError("scores must be finite and non-negative")
     return s
@@ -126,6 +126,7 @@ class ModelOracle(QueryOracle):
 
 
 _FRAME_HEADER = struct.Struct("<QQ")  # (rows, cols); see ProcessOracle
+CLOSE_TIMEOUT_S = 10.0  # how long ProcessOracle.close waits for its child to exit
 
 
 def _write_frame(stream, a: np.ndarray) -> None:
@@ -161,6 +162,9 @@ class ProcessOracle(QueryOracle):
     A frame is (rows, cols) as little-endian uint64, then the values row by
     row as little-endian 8-byte numbers. Request: the (n, d) float64 stack.
     Reply: the (n, K) float64 scores, or in label mode (n, 1) int64 labels.
+
+    A fault in an exchange may leave the streams out of step, so it breaks
+    the oracle: every later query raises RuntimeError naming that fault.
     """
 
     def __init__(self, argv, mode: str = "scores"):
@@ -169,18 +173,23 @@ class ProcessOracle(QueryOracle):
             raise ValueError("mode must be 'scores' or 'label'")
         self.scores_available = mode == "scores"
         self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._fault = None  # the message of the fault that broke the oracle
 
     def _exchange(self, x: np.ndarray, dtype: str = "<f8", cols: int = 0) -> np.ndarray:
+        if self._fault is not None:
+            raise RuntimeError(f"oracle process is broken by an earlier fault: {self._fault}")
         try:
             _write_frame(self.proc.stdin, x)
             return _read_frame(self.proc.stdout, dtype, len(x), cols)
         except OSError as exc:  # the child is gone, or going
-            raise RuntimeError(f"oracle process cannot take a query (exit code "
-                               f"{self.proc.poll()}): {exc}") from None
+            fault = RuntimeError(f"oracle process cannot take a query (exit code "
+                                 f"{self.proc.poll()}): {exc}")
         except EOFError as exc:
-            raise RuntimeError(f"oracle process closed its output stream: {exc}") from None
+            fault = RuntimeError(f"oracle process closed its output stream: {exc}")
         except ValueError as exc:
-            raise OracleReplyError(f"bad reply from the oracle process: {exc}") from None
+            fault = OracleReplyError(f"bad reply from the oracle process: {exc}")
+        self._fault = str(fault)
+        raise fault from None
 
     _scores = _exchange  # float64 replies of any width
 
@@ -190,7 +199,17 @@ class ProcessOracle(QueryOracle):
         return self._exchange(x, "<i8", cols=1)[:, 0]
 
     def close(self):
-        self.proc.communicate(timeout=10)  # closes stdin, drains stdout, reaps the child
+        """Close the child's input, drain its output and reap it. A child
+        still running after CLOSE_TIMEOUT_S is killed and reaped, and close
+        raises RuntimeError naming its exit code."""
+        try:
+            self.proc.communicate(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.communicate()
+            raise RuntimeError(f"oracle process did not exit within {CLOSE_TIMEOUT_S:g} s of "
+                               f"its input closing; killed (exit code "
+                               f"{self.proc.returncode})") from None
 
 
 def serve_oracle(model, mode: str = "scores"):

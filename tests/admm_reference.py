@@ -1,11 +1,13 @@
 """The ADMM iteration as written before the success probe rode in the
 delta-step's last loss call: the delta-step's loss calls (the RGE call, or
 BO's initial-sample and acquisition calls), then a one-row label call.
+Its RGE draws each iteration's directions from the stream when it needs
+them, as before a DirectionSource drew them ahead.
 
 Tests run the package's run_attack through these (see ``two_call_run``)
 and require the same records, final perturbation bytes, ledger and
 victim rows, in the same order, as the package's iteration, whose last
-loss call carries the probe.
+loss call carries the probe and whose directions are drawn ahead.
 """
 
 import numpy as np
@@ -77,9 +79,20 @@ def admm_iterate(state, spec, cfg, oracle, rng, loss, delta_step):
     return new, record
 
 
+class InlineDirections:
+    """A DirectionSource that draws nothing ahead: each call draws from the stream."""
+
+    def __init__(self, rng, q, d, iterations):
+        self.unit_directions = rng.unit_directions
+
+    def close(self):
+        pass
+
+
 def two_call_run(*args, **kwargs):
     """admm.run_attack(*args, **kwargs) with the iteration above, for either backend."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(admm, "make_delta_step", make_delta_step)
         m.setattr(admm, "admm_iterate", admm_iterate)
+        m.setattr(admm, "DirectionSource", InlineDirections)
         return admm.run_attack(*args, **kwargs)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from admmattack.core import (
     lp_norms,
     project_box_linf,
 )
-from admmattack.grad_est import RgeConfig
+from admmattack.grad_est import BLOCK_ITERATIONS, RgeConfig
 from admmattack.losses import FeedbackMode, LossConfig, ModelOracle
 from admmattack.victim import SoftmaxModel
 
@@ -560,3 +561,43 @@ class TestRunAttack:
             AdmmConfig(rho=0.0)
         with pytest.raises(ValueError):
             AdmmConfig(alpha=-1.0)
+
+
+class ThreadCountingVictim:
+    """Class 1 wins iff x[0] > 0.5. Records the thread count at each call and
+    raises RuntimeError at call ``fail_at``, if given."""
+
+    def __init__(self, fail_at=None):
+        self.model = SoftmaxModel(np.array([[0.0, 0.0], [8.0, 0.0]]), np.array([0.0, -4.0]))
+        self.fail_at, self.threads = fail_at, []
+
+    def predict_scores(self, x):
+        self.threads.append(threading.active_count())
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError("the victim failed mid-run")
+        return self.model.predict_scores(x)
+
+
+@pytest.mark.parametrize("refine, fail_at", [(True, None), (False, None), (True, 20)],
+                         ids=["full budget", "stop at first success", "oracle raises mid-run"])
+def test_no_direction_thread_outlives_run_attack(refine, fail_at):
+    before = threading.active_count()
+    victim = ThreadCountingVictim(fail_at)
+    cfg = AdmmConfig(rho=1.0, max_queries=500, success_then_refine=refine)  # 100 iterations
+
+    def attack():
+        return run_attack(make_spec(np.array([0.3, 0.5])), cfg, LossConfig(),
+                          ModelOracle(victim), RngStream(3), rge_cfg=RgeConfig(q=3, nu=0.1))
+
+    if fail_at is None:
+        rep = attack()
+        if refine:
+            assert len(rep.records) == 100
+        else:  # stops within the first block, with the helper running
+            assert rep.success and len(rep.records) == len(victim.threads) < BLOCK_ITERATIONS
+    else:
+        with pytest.raises(RuntimeError, match="mid-run"):
+            attack()
+        assert len(victim.threads) == fail_at > BLOCK_ITERATIONS
+    assert victim.threads[0] == before + 1  # the helper was running
+    assert threading.active_count() == before

@@ -1,8 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from admmattack.core import RngStream
-from admmattack.grad_est import RgeConfig, rge_with_base
+from admmattack.core import RngStream, row_norms
+from admmattack.grad_est import BLOCK_ITERATIONS, DirectionSource, RgeConfig, rge_with_base
 
 
 class CountingLoss:
@@ -155,3 +158,91 @@ def test_estimate_equals_the_stacked_form_bitwise():
         assert g.tobytes() == g_ref.tobytes()
         assert base == base_ref
         assert ours.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+def test_unit_directions_are_one_normal_draw_over_its_row_norms():
+    a, b = RngStream(11), RngStream(11)
+    u = a.unit_directions(7, 5)
+    g = b.standard_normal((7, 5))
+    assert u.tobytes() == (g / np.linalg.norm(g, axis=1, keepdims=True)).tobytes()
+    out = np.empty((3, 5))
+    assert a.unit_directions(3, 5, out=out) is out
+    g = b.standard_normal((3, 5))
+    assert out.tobytes() == (g / row_norms(g)).tobytes()
+
+
+@pytest.mark.parametrize("q, d", [(20, 64), (3, 5)])
+@pytest.mark.parametrize("iterations", [1, 15, 16, 17, 33])
+def test_prefetched_directions_equal_per_iteration_draws(iterations, q, d):
+    rng, twin = RngStream(4).child(2), RngStream(4).child(2)
+    source = DirectionSource(rng, q, d, iterations)
+    try:
+        for _ in range(iterations):
+            assert source.unit_directions(q, d).tobytes() == twin.unit_directions(q, d).tobytes()
+        with pytest.raises(RuntimeError, match="spent"):
+            source.unit_directions(q, d)
+    finally:
+        source.close()
+    assert rng.gen.bit_generator.state == twin.gen.bit_generator.state
+
+
+def test_interleaved_sources_under_fast_thread_switching_keep_their_bits():
+    # five threads, more than the host's cores: this one reads four sources
+    # in turn while their helpers draw, switching threads as often as it can
+    q, d, iterations = 2, 3, 5 * BLOCK_ITERATIONS + 3
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    sources = []
+    try:
+        sources = [DirectionSource(RngStream(i), q, d, iterations) for i in range(4)]
+        twins = [RngStream(i) for i in range(4)]
+        for _ in range(iterations):
+            for source, twin in zip(sources, twins):
+                assert source.unit_directions(q, d).tobytes() == \
+                    twin.unit_directions(q, d).tobytes()
+    finally:
+        for source in sources:
+            source.close()
+        sys.setswitchinterval(switch)
+
+
+class HelperFault(Exception):
+    pass
+
+
+class FailingStream:
+    """Draws as an RngStream, except that its second unit_directions call,
+    the helper thread's first, raises HelperFault."""
+
+    def __init__(self):
+        self.rng, self.calls = RngStream(0), 0
+
+    def unit_directions(self, n, d, out=None):
+        self.calls += 1
+        if self.calls == 2:
+            raise HelperFault("drawn on the helper")
+        return self.rng.unit_directions(n, d, out)
+
+
+def test_a_fault_on_the_helper_thread_surfaces_in_the_caller():
+    source = DirectionSource(FailingStream(), 2, 3, 2 * BLOCK_ITERATIONS)
+    try:
+        for _ in range(BLOCK_ITERATIONS):
+            source.unit_directions(2, 3)
+        with pytest.raises(HelperFault, match="drawn on the helper"):
+            source.unit_directions(2, 3)
+    finally:
+        source.close()
+
+
+def test_close_raises_a_helper_fault_that_no_call_reached():
+    source = DirectionSource(FailingStream(), 2, 3, 2 * BLOCK_ITERATIONS)
+    source.unit_directions(2, 3)
+    with pytest.raises(HelperFault):
+        source.close()
+
+
+def test_a_source_that_fits_in_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+    DirectionSource(RngStream(1), 2, 3, BLOCK_ITERATIONS).close()
+    DirectionSource(RngStream(1), 2, 3, 0).close()

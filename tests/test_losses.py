@@ -353,6 +353,19 @@ class TestProcessOracle:
             oracle.close()
             assert oracle.proc.returncode == 5
 
+    def test_a_child_that_outlives_close_is_killed_and_reaped(self, monkeypatch):
+        monkeypatch.setattr(losses, "CLOSE_TIMEOUT_S", 0.2)
+        # the child reads to EOF, then keeps running
+        oracle = ProcessOracle(child_argv("import time\nsys.stdin.buffer.read()\n"
+                                          "time.sleep(60)"), mode="label")
+        try:
+            with pytest.raises(RuntimeError, match="exit code -9"):
+                oracle.close()
+            assert oracle.proc.returncode == -9
+        finally:
+            oracle.proc.kill()
+            oracle.proc.wait(timeout=10)
+
     # Each child reads one request and replies with ``reply``, then exits.
     # A reply with the wrong shape fails on its header: a client that read
     # the missing body first would see the end of the stream instead.
@@ -469,7 +482,21 @@ class TestReplyChecks:
         assert oracle.queries_used == 4
 
     def test_label_client_of_a_scores_child(self, tmp_path):
+        # the (1, 2) reply header fails before its body is read, so the
+        # streams are out of step and the oracle is broken from then on
         with spawned(serve_argv(TestProcessOracle.model, tmp_path, "scores"), "label") as oracle:
-            with pytest.raises(OracleReplyError):
+            with pytest.raises(OracleReplyError) as first:
                 oracle.query_label(np.array([0.9, 0.1]))
+            for _ in range(2):
+                with pytest.raises(RuntimeError) as later:
+                    oracle.query_label(np.array([0.9, 0.1]))
+                assert type(later.value) is RuntimeError
+                assert str(first.value) in str(later.value)
+            assert oracle.queries_used == 0
+
+    def test_scores_client_of_a_label_child(self, tmp_path):
+        # the (1, 1) int64 labels would read as one-class float64 scores
+        with spawned(serve_argv(TestProcessOracle.model, tmp_path, "label"), "scores") as oracle:
+            with pytest.raises(OracleReplyError, match="K >= 2"):
+                oracle.query_scores(np.array([0.9, 0.1]))
             assert oracle.queries_used == 0
