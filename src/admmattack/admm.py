@@ -321,12 +321,13 @@ def run_attack(
     iter_cost = evals * rows_per_eval + 1
 
     start_queries = oracle.queries_used
-    # ZO's RGE directions depend on the iteration stream alone, so a
-    # DirectionSource that owns the stream draws them ahead, on a thread that
-    # the finally joins. BO's draws interleave with data-dependent
-    # fallbacks, so BO keeps the stream.
+    # ZO's RGE directions depend on the iteration stream alone, so under
+    # score feedback a DirectionSource that owns the stream draws them ahead,
+    # on a thread that the finally joins. BO's draws interleave with
+    # data-dependent fallbacks, so BO keeps the stream; so do decision runs,
+    # whose unit_ball loop holds the GIL that the thread would need.
     source = None
-    if cfg.delta_backend is DeltaBackend.ZO:
+    if cfg.delta_backend is DeltaBackend.ZO and loss_cfg.mode is FeedbackMode.SCORE:
         source = DirectionSource(iter_rng, rge_cfg.q, spec.dim, cfg.max_queries // iter_cost)
     try:
         while oracle.queries_used - start_queries + iter_cost <= cfg.max_queries:

@@ -71,8 +71,9 @@ class DirectionSource:
     one ``rng.unit_directions`` call into a ring of two blocks allocated
     here, while the caller reads the other; NumPy's draw and the row norms
     release the GIL, so the draws overlap the caller's work. The caller
-    re-raises whatever the thread raised. ``close`` stops and joins the
-    thread; a source of at most BLOCK_ITERATIONS iterations starts none.
+    re-raises whatever the thread raised when it reaches that block.
+    ``close`` stops and joins the thread; a source of at most
+    BLOCK_ITERATIONS iterations starts none.
     """
 
     def __init__(self, rng: RngStream, q: int, d: int, iterations: int):
@@ -123,13 +124,10 @@ class DirectionSource:
         return u
 
     def close(self) -> None:
-        """Stop and join the thread, then raise what it raised that no
-        call reached."""
+        """Stop and join the thread. What it raised is raised only by a call
+        that reaches it, so a finished run stays finished and an exception
+        the caller is unwinding is not replaced."""
         if self._thread is not None:
             self._free.put(None)
             self._thread.join()
             self._thread = None
-        while not self._full.empty():
-            item = self._full.get()
-            if isinstance(item, BaseException):
-                raise item

@@ -601,3 +601,51 @@ def test_no_direction_thread_outlives_run_attack(refine, fail_at):
         assert len(victim.threads) == fail_at > BLOCK_ITERATIONS
     assert victim.threads[0] == before + 1  # the helper was running
     assert threading.active_count() == before
+
+
+class HelperFault(Exception):
+    pass
+
+
+@pytest.fixture
+def failing_helper(monkeypatch):
+    """Direction draws off the main thread, the helper's, raise HelperFault;
+    the list holds each fault raised."""
+    draw, faults = RngStream.unit_directions, []
+
+    def unit_directions(self, n, d, out=None):
+        if threading.current_thread() is not threading.main_thread():
+            faults.append(HelperFault("drawn on the helper"))
+            raise faults[-1]
+        return draw(self, n, d, out)
+
+    monkeypatch.setattr(RngStream, "unit_directions", unit_directions)
+    return faults
+
+
+def test_a_victim_fault_is_not_replaced_by_a_helper_fault(failing_helper):
+    victim = ThreadCountingVictim(fail_at=5)  # within the first block
+    with pytest.raises(RuntimeError, match="mid-run"):
+        run_attack(make_spec(np.array([0.3, 0.5])), AdmmConfig(rho=1.0, max_queries=500),
+                   LossConfig(), ModelOracle(victim), RngStream(3), rge_cfg=RgeConfig(q=3, nu=0.1))
+    assert len(failing_helper) == 1
+
+
+def test_a_helper_fault_in_a_block_no_iteration_reached_leaves_the_run_finished(
+        failing_helper):
+    cfg = AdmmConfig(rho=1.0, max_queries=500, success_then_refine=False)
+    rep = run_attack(make_spec(np.array([0.3, 0.5])), cfg, LossConfig(),
+                     ModelOracle(ThreadCountingVictim()), RngStream(3),
+                     rge_cfg=RgeConfig(q=3, nu=0.1))
+    assert rep.success and len(rep.records) < BLOCK_ITERATIONS
+    assert len(failing_helper) == 1
+
+
+def test_a_decision_run_draws_its_directions_on_the_callers_thread(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+    spec = make_spec(np.array([0.3, 0.5]))
+    loss_cfg = LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=0.5, smoothing_samples=2)
+    cfg = AdmmConfig(rho=1.0, max_queries=(2 * BLOCK_ITERATIONS) * 9 + 1)  # 32 iterations
+    rep = run_attack(spec, cfg, loss_cfg, ModelOracle(ThreadCountingVictim()), RngStream(3),
+                     rge_cfg=RgeConfig(q=3, nu=0.1), init_delta=np.array([0.3, 0.0]))
+    assert len(rep.records) == 2 * BLOCK_ITERATIONS

@@ -28,13 +28,11 @@ from pathlib import Path
 # softmax victim trained on the first 8 features of the digits: below 33 features the
 # GP fits one lengthscale per dimension, which the 64-feature batches never reach. The
 # score-50 batch is the quick start's 50-pair score batch at the full 20000-query budget.
-# A ZO run draws its RGE directions in blocks of 16 iterations, each block after the
-# first on a helper thread: every score batch runs past its first block, and no-refine
-# closes the helper early, at a first success. A decision iteration costs 211 queries,
-# so at 2000 a decision run fits in its first block and starts no helper; its first
-# success is the initializer, so no-refine-decision ends before its first iteration and
-# closes a source that drew one block. decision-10k runs three blocks, the helper's draws
-# beside the smoothing draws of the caller's thread.
+# A score-feedback ZO run draws its RGE directions in blocks of 16 iterations, each block
+# after the first on a helper thread: every score batch runs past its first block, and
+# no-refine closes the helper early, at a first success. Decision runs draw inline; the
+# no-refine-decision batch stops at its first success, the initializer, so each pair
+# ends before its first iteration.
 BATCHES = [  # name, victim, attack flags
     ("score", "softmax", "--feedback score --budget 2000 --pairs 8 --seed 1"),
     ("decision", "softmax", "--feedback decision --budget 2000 --pairs 5 --seed 108"),
@@ -59,7 +57,6 @@ BATCHES = [  # name, victim, attack flags
     ("score-50", "softmax", "--feedback score --budget 20000 --pairs 50 --seed 1"),
     ("no-refine-decision", "softmax", "--no-refine --feedback decision --budget 2000 --pairs 3 "
      "--seed 31"),
-    ("decision-10k", "softmax", "--feedback decision --budget 10000 --pairs 3 --seed 31"),
 ]
 
 # names the admmattack it imported, then writes the first 8 features of the digits
