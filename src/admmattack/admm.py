@@ -3,9 +3,8 @@
 Each iteration performs, in order: the proximal z-step (a = delta - u/rho),
 the delta-step (RGE closed form or one BO round), the dual update
 u += rho (z - delta), and a one-query success probe on the feasible
-perturbation candidate. Either delta-step sends that probe as the last row
-of its last loss call, so the probe is the iteration's last query: a ZO
-iteration is one oracle call, a BO iteration one per BO loss call.
+perturbation candidate. The delta-step sends that probe with its last loss
+evaluations (see make_delta_step), so it is the iteration's last query.
 
 The success probe and best-iterate bookkeeping use z, which is feasible by
 construction and carries the configured distortion structure (e.g. the
@@ -177,40 +176,39 @@ def make_delta_step(
     """(step, loss evaluations per step) for cfg.delta_backend.
 
     step(state after the z-step, loss, rng) returns (delta, loss value,
-    success). Its last loss call sends the success probe at state.z as the
-    last row, through loss(points, state.z), and success is that probe's
-    answer. ZO makes one loss call per step; BO makes one for its initial
-    samples, then one per acquisition.
+    success). The loss call whose points bring the step's count to evals
+    sends loss(points, state.z), with the success probe at z as its last
+    row, and success is that probe's answer. Every earlier call sends
+    loss(points); a step that sends more or fewer points raises ValueError.
     """
-    if cfg.delta_backend is DeltaBackend.ZO:
+    zo = cfg.delta_backend is DeltaBackend.ZO
+    if zo:
         rge_cfg = rge_cfg or RgeConfig()
-        calls, evals = 1, rge_cfg.q + 1
-
-        def solve(state, f_loss, rng):
-            return delta_zo_step(state, cfg, rge_cfg, f_loss, rng)
+        evals = rge_cfg.q + 1
     else:
         solver = BoDeltaSolver(spec.x0, spec.epsilon, bo_cfg or BoConfig())
-        calls = 1 + solver.cfg.max_bo_iters
         evals = solver.cfg.init_samples + solver.cfg.max_bo_iters
 
-        def solve(state, f_loss, rng):
-            delta = solver.step(state.z + state.u / cfg.rho, cfg.rho, f_loss, rng)
-            return delta, solver.best_f
-
     def step(state, loss, rng):
-        made, answers = 0, []
+        sent, answers = 0, []
 
         def f_loss(points):
-            nonlocal made
-            made += 1
-            if made < calls:
+            nonlocal sent
+            sent += len(points)
+            if sent < evals:
                 return loss(points)
+            if sent > evals:
+                raise ValueError(f"the delta-step sent more than its {evals} loss evaluations")
             values, success = loss(points, state.z)
             answers.append(success)
             return values
 
-        delta, loss_val = solve(state, f_loss, rng)
-        (success,) = answers  # exactly one probe, on the last call
+        if zo:
+            delta, loss_val = delta_zo_step(state, cfg, rge_cfg, f_loss, rng)
+        else:
+            delta = solver.step(state.z + state.u / cfg.rho, cfg.rho, f_loss, rng)
+            loss_val = solver.best_f
+        (success,) = answers  # exactly one probe
         return delta, loss_val, success
 
     return step, evals

@@ -130,6 +130,13 @@ def _load_dataset(name: str) -> Dataset:
         raise UsageError(f"malformed data file {name}: {exc}") from None
 
 
+def _load_weights(path):
+    try:
+        return _on_path("read", "weight file", path, load_weights)
+    except WeightFormatError as exc:
+        raise UsageError(f"malformed weight file {path}: {exc}") from None
+
+
 def _valid(build):
     """build(), with the ValueError of an invalid setting as a usage error."""
     try:
@@ -168,27 +175,17 @@ def cmd_train(args) -> int:
 
 
 def _select_pairs(model, data: Dataset, n_pairs: int, untargeted: bool):
-    """Deterministic (image index, target) pairs over correctly classified
-    inputs; targeted mode cycles each image through the other classes."""
-    k = model.num_classes
-    predicted = model.predict_label(data.inputs)
+    """The first n_pairs deterministic (image index, target) pairs over
+    correctly classified inputs; targeted mode cycles each image through
+    the other classes."""
     pairs = []
-    for idx in range(data.n):
+    for idx in np.flatnonzero(model.predict_label(data.inputs) == data.labels):
+        if len(pairs) >= n_pairs:
+            break
         label = int(data.labels[idx])
-        if predicted[idx] != label:
-            continue
-        if untargeted:
-            pairs.append((idx, label))
-            if len(pairs) >= n_pairs:
-                return pairs
-        else:
-            for t in range(k):
-                if t == label:
-                    continue
-                pairs.append((idx, t))
-                if len(pairs) >= n_pairs:
-                    return pairs
-    return pairs
+        targets = [label] if untargeted else [t for t in range(model.num_classes) if t != label]
+        pairs += [(int(idx), t) for t in targets]
+    return pairs[:n_pairs]
 
 
 def _find_exemplar(model, data: Dataset, target: int):
@@ -273,7 +270,7 @@ def cmd_attack(args) -> int:
     rge_cfg = _valid(lambda: RgeConfig(q=settings["q"], nu=settings["nu"]))
     bo_cfg = BoConfig()
 
-    model = _on_path("read", "weight file", args.weights, load_weights)
+    model = _load_weights(args.weights)
     data = _load_dataset(args.data)
     if not np.all((data.inputs >= 0.0) & (data.inputs <= 1.0)):
         raise UsageError(f"malformed data file {args.data}: an attack input lies outside [0, 1]")
@@ -391,7 +388,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    model = _on_path("read", "weight file", args.weights, load_weights)
+    model = _load_weights(args.weights)
     try:
         serve_oracle(model, mode=args.mode)
     except (ValueError, EOFError) as exc:
@@ -504,7 +501,7 @@ def main(argv=None) -> int:
     except RunFault as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (UsageError, WeightFormatError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,6 +11,7 @@ stands in for MNIST at desk scale.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,7 +127,10 @@ class Dataset:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        try:
+            self.labels = np.asarray(self.labels, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("class labels must fit in int64") from None
         if self.inputs.ndim != 2 or self.inputs.shape[1] < 1:
             raise ValueError(f"inputs must be (n, d) with d >= 1, got shape {self.inputs.shape}")
         if self.inputs.shape[0] != self.labels.shape[0]:
@@ -157,7 +161,7 @@ class Dataset:
                 labels.append(int(parts[-1]))
         if not rows:
             raise ValueError(f"no samples in {path}")
-        return Dataset(np.array(rows), np.array(labels))
+        return Dataset(np.array(rows), labels)
 
 
 def digits8x8() -> Dataset:
@@ -282,8 +286,7 @@ def load_weights(path):
         shapes.append(dims)
     arrays = []
     for i, shape in enumerate(shapes):
-        count = int(np.prod(shape)) if shape else 1
-        raw = take(8 * count, f"array {i} data")
+        raw = take(8 * math.prod(shape), f"array {i} data")
         arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
     if off != len(data):
         raise WeightFormatError(f"{len(data) - off} extra bytes after the last array, "

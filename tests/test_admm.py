@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from admm_reference import two_call_run
 from oracles import FunctionOracle
 
-from admmattack import prox
+from admmattack import admm, prox
 from admmattack.admm import (
     AdmmConfig,
     AttackState,
@@ -21,7 +22,7 @@ from admmattack.admm import (
     make_delta_step,
     run_attack,
 )
-from admmattack.bo import BoConfig
+from admmattack.bo import BoConfig, BoDeltaSolver
 from admmattack.core import (
     AttackMode,
     Distortion,
@@ -329,6 +330,63 @@ def test_bo_iteration_calls_end_with_the_probe(monkeypatch, feedback, init_sampl
         call = calls[(i + 1) * per_iter - 1]
         assert call.shape == (rows, 2)
         assert call[-1].tobytes() == np.clip(spec.x0 + z, 0.0, 1.0).tobytes()
+
+
+def skip_the_last_acquisition(m):
+    real_step = BoDeltaSolver.step
+
+    def step(self, b, rho, f_loss, rng):
+        cfg = self.cfg
+        self.cfg = dataclasses.replace(cfg, max_bo_iters=cfg.max_bo_iters - 1)
+        try:
+            return real_step(self, b, rho, f_loss, rng)
+        finally:
+            self.cfg = cfg
+
+    m.setattr(BoDeltaSolver, "step", step)
+
+
+def add_an_acquisition(m):
+    real_step = BoDeltaSolver.step
+
+    def step(self, b, rho, f_loss, rng):
+        delta = real_step(self, b, rho, f_loss, rng)
+        self._query(delta[None, :], f_loss)
+        return delta
+
+    m.setattr(BoDeltaSolver, "step", step)
+
+
+def add_a_zo_point(m):
+    real_step = admm.delta_zo_step
+
+    def step(state, cfg, rge_cfg, loss, rng):
+        out = real_step(state, cfg, rge_cfg, loss, rng)
+        loss(state.delta[None, :])
+        return out
+
+    m.setattr(admm, "delta_zo_step", step)
+
+
+@pytest.mark.parametrize("backend, patch, sent_rows", [
+    (DeltaBackend.BO, skip_the_last_acquisition, 3),  # no call reaches the 4 evaluations
+    (DeltaBackend.BO, add_an_acquisition, 5),
+    (DeltaBackend.ZO, add_a_zo_point, 5),
+])
+def test_a_delta_step_that_misses_its_evaluations_raises(monkeypatch, backend, patch,
+                                                           sent_rows):
+    # class 1 wins everywhere, so a probe that reached the books would be a success
+    victim = RowCountingVictim(SoftmaxModel(np.zeros((2, 2)), np.array([0.0, 1.0])))
+    oracle = ModelOracle(victim)
+    patch(monkeypatch)
+    with pytest.raises(ValueError):
+        run_attack(make_spec(np.array([0.3, 0.5])),
+                   AdmmConfig(rho=1.0, max_queries=100, delta_backend=backend), LossConfig(),
+                   oracle, RngStream(0), rge_cfg=RgeConfig(q=3, nu=0.1),
+                   bo_cfg=BoConfig(init_samples=2, max_bo_iters=2, ei_restarts=2, ei_steps=3,
+                                   fit_steps=2))
+    # the first iteration raised, and a point past its evaluations reached no victim
+    assert victim.rows == oracle.queries_used == sent_rows
 
 
 def assert_probe_path_equals_separate_probe(feedback, distortion, attack_mode, refine,

@@ -95,8 +95,9 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["0.5,0.5,-1\n0.2,0.1,0\n", "0.5,nan,1\n0.2,0.1,0\n",
-                                      "1\n0\n"],
-                             ids=["negative-label", "nan-feature", "label-only"])
+                                      "1\n0\n", "0.5,0.5,1\n0.2,0.1," + "1" + "0" * 29 + "\n"],
+                             ids=["negative-label", "nan-feature", "label-only",
+                                  "label-past-int64"])
     def test_bad_data_values_are_usage_errors(self, tmp_path, capsys, text):
         data = tmp_path / "data.csv"
         data.write_text(text)
@@ -247,6 +248,19 @@ class TestAttack:
         assert str(folder) in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_a_weight_file_shorter_than_its_declared_array_is_usage_error(self, tmp_path,
+                                                                           capsys):
+        # one (2**32 - 1, 2**32 - 1) array, whose element count overflows int64
+        weights = tmp_path / "huge.weights"
+        weights.write_bytes(b"SPAV1" + struct.pack("<III", 0, 1, 2)
+                            + struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(88))
+        assert len(weights.read_bytes()) == 113
+        out = tmp_path / "r"
+        assert main(["attack", "--weights", str(weights), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"malformed weight file {weights}: truncated weight file" in err
+        assert not out.exists()
+
     def test_missing_weights_is_usage_error(self, tmp_path):
         code = main(["attack", "--weights", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "r")])
@@ -388,8 +402,9 @@ class TestAttack:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--data", "--init-from"])
-    @pytest.mark.parametrize("row", ["0.5," * 64 + "-1\n", "0.5," * 63 + "nan,1\n"],
-                             ids=["negative-label", "nan-feature"])
+    @pytest.mark.parametrize("row", ["0.5," * 64 + "-1\n", "0.5," * 63 + "nan,1\n",
+                                     "0.5," * 64 + "1" + "0" * 29 + "\n"],
+                             ids=["negative-label", "nan-feature", "label-past-int64"])
     def test_bad_data_values_are_usage_errors(self, tmp_path, trained_weights, capsys,
                                               flag, row):
         data = tmp_path / "data.csv"
