@@ -115,6 +115,8 @@ class BoDeltaSolver:
         f = np.asarray(f_loss(X), dtype=np.float64)
         if f.shape != (X.shape[0],):
             raise ValueError(f"f_loss must return one value per row, got shape {f.shape}")
+        if not np.isfinite(f).all():
+            raise ValueError("non-finite loss value")
         keep = self.cfg.max_observations
         self._X = np.concatenate([self._X, X])[-keep:]
         self._f = np.concatenate([self._f, f])[-keep:]

@@ -160,10 +160,13 @@ def cmd_train(args) -> int:
     data = _load_dataset(args.data)
     rng = RngStream(args.seed)
     k = int(np.max(data.labels)) + 1
-    if args.model == "softmax":
-        model = SoftmaxModel.init(data.dim, k, rng.child(0))
-    else:
-        model = MlpModel.init(data.dim, k, args.hidden, rng.child(0))
+    try:
+        if args.model == "softmax":
+            model = SoftmaxModel.init(data.dim, k, rng.child(0))
+        else:
+            model = MlpModel.init(data.dim, k, args.hidden, rng.child(0))
+    except (ValueError, MemoryError):  # NumPy's "array is too big" is a ValueError
+        raise UsageError(f"cannot allocate a {args.model} model for {k} classes") from None
     model = train(model, data, epochs=args.epochs, lr=args.lr, rng=rng.child(1))
     _on_path("write", "weight file", args.out, lambda p: save_weights(model, p))
     print(f"saved {args.model} weights to {args.out} "

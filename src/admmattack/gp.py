@@ -155,12 +155,16 @@ class GpModel:
         if hyper is None:
             n_ls = 1 if dim > ISOTROPIC_DIM_CUTOFF else dim
             hyper = GpHyper(theta0=1.0, lengthscales=np.ones(n_ls), noise_var=1e-6)
-        self.hyper = hyper
-        self._X = np.zeros((0, dim))
-        self._X_sq = np.zeros(0)  # |x|^2 of each observation
-        self._y = np.zeros(0)
-        self._D = None  # _sq_dists of the observations; no hyper enters it
-        self._cache = None  # the _Factor under self.hyper
+        if hyper.lengthscales.shape[0] not in (1, self.dim):
+            raise ValueError(f"a {self.dim}-dimensional GP takes 1 or {self.dim} lengthscales, "
+                             f"got {hyper.lengthscales.shape[0]}")
+        self._hyper = hyper
+        self.set_data(np.zeros((0, self.dim)), np.zeros(0))
+
+    @property
+    def hyper(self) -> GpHyper:
+        """Read-only: set by the constructor, and by fit_hypers with its factor."""
+        return self._hyper
 
     # -- observations -------------------------------------------------
 
@@ -178,22 +182,16 @@ class GpModel:
         if X.ndim != 2 or X.shape[1] != self.dim or X.shape[0] != y.shape[0]:
             raise ValueError("bad observation shapes")
         self._X = X.copy()
-        self._X_sq = (self._X * self._X).sum(axis=1)
+        self._X_sq = (self._X * self._X).sum(axis=1)  # |x|^2 of each observation
         self._y = y.copy()
-        self._D = None
-        self._cache = None
+        self._D = self._sq_dists_to(self._X)  # no hyper value enters it
+        self._cache = None  # the _Factor under self.hyper
 
     # -- factorization -------------------------------------------------
 
-    def _sq_dists_to(self, X: np.ndarray, n_ls: int) -> np.ndarray:
+    def _sq_dists_to(self, X: np.ndarray) -> np.ndarray:
         """_sq_dists from the rows of X to the observations."""
-        return _sq_dists(X, self._X, n_ls, self._X_sq)
-
-    def _obs_sq_dists(self, h: GpHyper) -> np.ndarray:
-        ard = h.lengthscales.shape[0] > 1
-        if self._D is None or (self._D.ndim == 3) != ard:
-            self._D = self._sq_dists_to(self._X, h.lengthscales.shape[0])
-        return self._D
+        return _sq_dists(X, self._X, self._hyper.lengthscales.shape[0], self._X_sq)
 
     @staticmethod
     def _chol_with_jitter(S: np.ndarray) -> np.ndarray:
@@ -216,8 +214,7 @@ class GpModel:
         L^T is a matrix product. The NLML is 0.5 log|S| + 0.5 y^T alpha with
         0.5 log|S| = sum(log diag L).
         """
-        D = self._obs_sq_dists(hyper)
-        K, Q = _matern52(_scaled_r2(D, hyper.lengthscales), hyper.theta0)
+        K, Q = _matern52(_scaled_r2(self._D, hyper.lengthscales), hyper.theta0)
         S = K.copy()
         S.ravel()[:: self.n + 1] += hyper.noise_var
         L = self._chol_with_jitter(S)
@@ -227,8 +224,11 @@ class GpModel:
         return _Factor(L_inv, alpha, nlml, K, Q)
 
     def _factor(self) -> _Factor:
+        """The cached factor under self.hyper; an empty model has none."""
+        if self.n < 1:
+            raise ValueError("the GP has no observations")
         if self._cache is None:
-            self._cache = self._factor_for(self.hyper)
+            self._cache = self._factor_for(self._hyper)
         return self._cache
 
     # -- inference -----------------------------------------------------
@@ -245,12 +245,9 @@ class GpModel:
     def _posterior_terms(self, X: np.ndarray):
         """At the rows of X (R, d): (dk/dr)/r as (R, n), v = L^-1 k^T as
         (n, R), and the mean and the variance (clipped at zero) as (R,)."""
-        if self.n < 1:
-            raise ValueError("posterior requires at least one observation")
-        h = self.hyper
-        D = self._sq_dists_to(X, h.lengthscales.shape[0])
-        k, q = _matern52(_scaled_r2(D, h.lengthscales), h.theta0)
         f = self._factor()
+        h = self._hyper
+        k, q = _matern52(_scaled_r2(self._sq_dists_to(X), h.lengthscales), h.theta0)
         v = f.L_inv @ k.T
         var = h.theta0 ** 2 - (v * v).sum(axis=0)
         return q, v, k @ f.alpha, np.maximum(var, 0.0, out=var)
@@ -287,8 +284,6 @@ class GpModel:
 
     def nlml(self) -> float:
         """0.5 log|S| + 0.5 y^T S^-1 y (constant term dropped)."""
-        if self.n < 1:
-            raise ValueError("nlml requires at least one observation")
         return self._factor().nlml
 
     def _log_params(self, hyper: GpHyper | None = None) -> np.ndarray:
@@ -314,14 +309,11 @@ class GpModel:
         Uses dL/dp = 0.5 tr((S^-1 - beta beta^T) dS/dp) with beta = S^-1 y,
         and the kernel matrix kept with the factor.
         """
-        if self.n < 1:
-            raise ValueError("nlml_grad requires at least one observation")
-        h = self.hyper
-        n = self.n
         f = self._factor()
+        h = self._hyper
+        n = self.n
         A = f.L_inv.T @ f.L_inv
         A -= f.alpha[:, None] * f.alpha[None, :]
-        D = self._obs_sq_dists(h)
         # dS/dlog theta0 = 2K; dK/dlog ls_i = (dK/dr) dr/dlog ls_i = -Q D_i / ls_i^2
         # (D summed over dimensions for a shared lengthscale);
         # dS/dlog sigma_n = 2 sigma_n^2 I
@@ -330,7 +322,7 @@ class GpModel:
         A *= f.Q
         return np.concatenate([
             [d_theta0],
-            -0.5 * (A.ravel() @ D.reshape(n * n, -1)) * h.lengthscales ** -2.0,
+            -0.5 * (A.ravel() @ self._D.reshape(n * n, -1)) * h.lengthscales ** -2.0,
             [d_noise],
         ])
 
@@ -367,7 +359,7 @@ class GpModel:
                         return h
                     p = self._log_params(cand)
                     current = factor.nlml
-                    self.hyper, self._cache = cand, factor
+                    self._hyper, self._cache = cand, factor
                     accepted = True
                     break
                 lr *= 0.5

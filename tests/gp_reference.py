@@ -171,7 +171,7 @@ def fit_every_step(model, steps, learning_rate):
                     first_repeat = step
                 p = model._log_params(cand)
                 current = factor.nlml
-                model.hyper, model._cache = cand, factor
+                model._hyper, model._cache = cand, factor
                 accepted = True
                 break
             lr *= 0.5

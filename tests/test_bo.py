@@ -445,6 +445,33 @@ class TestBoDeltaSolver:
         with pytest.raises(ValueError, match="one value per row"):
             solver.step(b=np.zeros(2), rho=1.0, f_loss=lambda D: 0.0, rng=RngStream(34))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_is_rejected_before_it_is_recorded(self, bad):
+        # a NaN target would win np.argmin and come back as the step's delta
+        def f_loss(D):
+            f = (D[:, 0] - 0.3) ** 2
+            if len(D) == 3:
+                f[1] = bad
+            return f
+
+        solver = BoDeltaSolver(np.array([0.5]), 1.0, BoConfig(init_samples=3, max_bo_iters=3))
+        with pytest.raises(ValueError, match="non-finite loss value"):
+            solver.step(b=np.zeros(1), rho=1.0, f_loss=f_loss, rng=RngStream(35))
+        assert solver._X.shape == (0, 1) and solver._f.size == 0
+
+    def test_non_finite_acquisition_value_is_rejected(self):
+        calls = []
+
+        def f_loss(D):
+            calls.append(len(D))
+            return np.full(len(D), math.nan) if len(calls) == 2 else (D[:, 0] - 0.3) ** 2
+
+        solver = BoDeltaSolver(np.array([0.5]), 1.0, BoConfig(init_samples=3, max_bo_iters=3))
+        with pytest.raises(ValueError, match="non-finite loss value"):
+            solver.step(b=np.zeros(1), rho=1.0, f_loss=f_loss, rng=RngStream(36))
+        assert calls == [3, 1]
+        assert solver._f.shape == (3,) and np.isfinite(solver._f).all()
+
 
 def test_package_runs_without_scipy():
     # one BO step in a fresh interpreter; a SciPy import anywhere on the

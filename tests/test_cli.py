@@ -106,6 +106,17 @@ class TestTrain:
         assert f"malformed data file {data}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["softmax", "mlp"])
+    def test_a_class_count_too_large_to_allocate_is_usage_error(self, tmp_path, capsys, model):
+        data = tmp_path / "data.csv"
+        data.write_text(f"0.5,0.5,{2 ** 62}\n0.2,0.1,0\n")
+        out = tmp_path / "w"
+        assert main(["train", "--model", model, "--data", str(data), "--out", str(out)]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"for {2 ** 62 + 1} classes" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_zero_epochs_is_allowed(self, tmp_path):
         assert main(["train", "--epochs", "0", "--out", str(tmp_path / "w")]) == EXIT_OK
 

@@ -142,8 +142,9 @@ class TestPosterior:
 
     def test_requires_observations(self):
         model = GpModel(2)
-        with pytest.raises(ValueError):
-            model.posterior(np.zeros(2))
+        for read in (lambda: model.posterior(np.zeros(2)), model.nlml, model.nlml_grad):
+            with pytest.raises(ValueError):
+                read()
 
 
 class TestNlml:
@@ -274,6 +275,19 @@ class TestFitHypers:
         model.set_data(np.array([[0.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
             model.fit_hypers(1, 0.1)
+
+
+def test_hyper_is_read_only():
+    # a written hyper would leave the cached factor of the old one in place
+    model = GpModel(3)
+    with pytest.raises(AttributeError):
+        model.hyper = GpHyper(theta0=2.0, lengthscales=np.full(3, 0.5), noise_var=1e-3)
+
+
+@pytest.mark.parametrize("n_ls", [2, 5])
+def test_a_lengthscale_count_other_than_one_or_dim_is_rejected(n_ls):
+    with pytest.raises(ValueError, match=rf"1 or 3 lengthscales, got {n_ls}"):
+        GpModel(3, GpHyper(lengthscales=np.ones(n_ls)))
 
 
 def test_isotropic_default_for_high_dim():
