@@ -64,6 +64,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", as_vector(self.x0))
+        if not len(self.x0):
+            raise ValueError("x0 must have at least one coordinate")
         if not np.all((self.x0 >= 0.0) & (self.x0 <= 1.0)):  # NaN fails too
             raise ValueError("x0 must lie in [0,1]^d")
         if not (0 <= self.target < self.num_classes):
@@ -200,7 +202,7 @@ def distortion_value(v: np.ndarray, distortion: Distortion, beta: float = 0.0) -
     if distortion is Distortion.L1:
         return float(np.abs(v).sum())
     if distortion is Distortion.L2:
-        return float((v * v).sum())
+        return float(np.add.reduce(v * v))
     if distortion is Distortion.ELASTIC:
         return float(np.abs(v).sum() + 0.5 * beta * (v * v).sum())
     raise ValueError(f"unknown distortion {distortion}")

@@ -51,12 +51,20 @@ class GpHyper:
     noise_var: float = 1e-6
 
     def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))
-        object.__setattr__(self, "lengthscales", ls)
-        if self.theta0 <= 0 or (ls <= 0).any():
-            raise ValueError("kernel hyperparameters must be positive")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be nonnegative")
+        ls = np.asarray(self.lengthscales, dtype=np.float64)
+        if ls.ndim == 0:
+            ls = ls.reshape(1)
+        if ls is not self.lengthscales:  # a float64 vector is kept as given
+            object.__setattr__(self, "lengthscales", ls)
+        if ls.ndim != 1 or not len(ls):
+            raise ValueError(f"lengthscales must be one number or a 1-D array of them, "
+                             f"got shape {ls.shape}")
+        # NaN fails every comparison, so each check below rejects it
+        if not (0 < self.theta0 < math.inf and 0 < np.minimum.reduce(ls)
+                and np.maximum.reduce(ls) < math.inf):
+            raise ValueError("kernel hyperparameters must be positive and finite")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError("noise variance must be nonnegative and finite")
 
 
 def _matern52(r2: np.ndarray, theta0: float):

@@ -17,8 +17,15 @@ import numpy as np
 
 from .core import RngStream, as_vector
 
-# Iterations whose directions a DirectionSource draws in one block.
-BLOCK_ITERATIONS = 16
+# Bytes of float64 directions a DirectionSource draws in one block, in whole
+# iterations but at least one, so that its ring of two blocks holds at most
+# twice this unless one iteration's directions are larger.
+BLOCK_BYTES = 512 * 1024
+
+
+def block_iterations(q: int, d: int) -> int:
+    """Iterations whose (q, d) directions a DirectionSource draws in one block."""
+    return max(1, BLOCK_BYTES // (8 * q * d))
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
     if not np.isfinite(values).all():
         raise ValueError("non-finite loss value at a perturbed point")
     u *= (values[1:] - base)[:, None]
-    grad = u.sum(axis=0)
+    grad = np.add.reduce(u, axis=0)  # u.sum(axis=0) without its method wrapper
     grad *= d / (cfg.nu * cfg.q)
     return grad, base
 
@@ -66,20 +73,22 @@ class DirectionSource:
 
     It owns ``rng``: its ``unit_directions(q, d)`` calls give the (q, d)
     blocks that as many ``rng.unit_directions(q, d)`` calls would, bit for
-    bit, for up to ``iterations`` calls. The first BLOCK_ITERATIONS
-    iterations are drawn here. A daemon thread draws each later block with
-    one ``rng.unit_directions`` call into a ring of two blocks allocated
-    here, while the caller reads the other; NumPy's draw and the row norms
-    release the GIL, so the draws overlap the caller's work. The caller
-    re-raises whatever the thread raised when it reaches that block.
-    ``close`` stops and joins the thread; a source of at most
-    BLOCK_ITERATIONS iterations starts none.
+    bit, for up to ``iterations`` calls. A block holds
+    ``block_iterations(q, d)`` iterations, at most BLOCK_BYTES unless one
+    iteration is larger; the first block is drawn here. A daemon thread
+    draws each later block with one ``rng.unit_directions`` call into a
+    ring of two blocks allocated here, while the caller reads the other;
+    NumPy's draw and the row norms release the GIL, so the draws overlap
+    the caller's work. The caller re-raises whatever the thread raised
+    when it reaches that block. ``close`` stops and joins the thread; a
+    source of at most one block starts none.
     """
 
     def __init__(self, rng: RngStream, q: int, d: int, iterations: int):
         self._shape = (q, d)
-        rows = q * min(iterations, BLOCK_ITERATIONS)
-        later = iterations - BLOCK_ITERATIONS  # iterations the thread draws
+        block = block_iterations(q, d)
+        rows = q * min(iterations, block)
+        later = iterations - block  # iterations the thread draws
         ring = np.empty((2 if later > 0 else 1, rows, d))
         self._block, self._used = rng.unit_directions(rows, d, out=ring[0]), 0
         self._calls_left = iterations
@@ -87,22 +96,22 @@ class DirectionSource:
         self._thread = None
         if later > 0:
             self._free.put(ring[1])
-            self._thread = threading.Thread(target=self._draw, args=(rng, later),
+            self._thread = threading.Thread(target=self._draw, args=(rng, later, block),
                                             name="rge-directions", daemon=True)
             self._thread.start()
 
-    def _draw(self, rng: RngStream, left: int) -> None:
-        """The thread: fill each free block with the next draw until ``left``
-        iterations are drawn or close() frees None."""
+    def _draw(self, rng: RngStream, left: int, iterations: int) -> None:
+        """The thread: fill each free block with the next ``iterations``
+        iterations' draw until ``left`` are drawn or close() frees None."""
         q, d = self._shape
         try:
             while left > 0:
                 block = self._free.get()
                 if block is None:
                     return
-                rows = q * min(left, BLOCK_ITERATIONS)
+                rows = q * min(left, iterations)
                 self._full.put(rng.unit_directions(rows, d, out=block[:rows]))
-                left -= BLOCK_ITERATIONS
+                left -= iterations
         except BaseException as exc:  # handed to the caller, which raises it
             self._full.put(exc)
 

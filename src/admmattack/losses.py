@@ -57,7 +57,8 @@ def _checked_scores(scores, x: np.ndarray) -> np.ndarray:
     if s.ndim != 2 or len(s) != len(x) or s.shape[1] < 2 or s.dtype.kind not in "fiu":
         raise OracleReplyError(f"scores of shape {s.shape} and dtype {s.dtype} for a query "
                                f"of shape {x.shape}; expected (n, K) numbers, K >= 2")
-    if not (s.min() >= 0 and s.max() < np.inf):  # NaN fails both
+    # NaN fails both; each ufunc reduce is what s.min() or s.max() would call
+    if not (np.minimum.reduce(s, axis=None) >= 0 and np.maximum.reduce(s, axis=None) < np.inf):
         raise OracleReplyError("scores must be finite and non-negative")
     return s
 
@@ -65,7 +66,7 @@ def _checked_scores(scores, x: np.ndarray) -> np.ndarray:
 def _checked_labels(labels, x: np.ndarray) -> np.ndarray:
     """Labels (n,) for a stack (n, d), all non-negative integers."""
     arr = np.asarray(labels)
-    if arr.shape != (len(x),) or arr.dtype.kind not in "iu" or arr.min() < 0:
+    if arr.shape != (len(x),) or arr.dtype.kind not in "iu" or np.minimum.reduce(arr) < 0:
         raise OracleReplyError(f"labels {arr!r} for a query of shape {x.shape}; "
                                "expected one non-negative integer per point")
     return arr
@@ -248,7 +249,7 @@ def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec, probe: boo
     t = spec.target
     own = logp[..., t].copy()
     logp[..., t] = -np.inf  # so the max is over the other classes, each >= log(PROB_FLOOR)
-    others = logp.max(axis=-1)
+    others = np.maximum.reduce(logp, axis=-1)
     if spec.attack_mode is AttackMode.TARGETED:
         val = others - own
     else:
@@ -256,7 +257,8 @@ def score_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec, probe: boo
     # the semantics of Python's max(val, -kappa), signed zeros included
     floor = -spec.kappa
     values = np.where(floor > val, floor, val)
-    return (values, bool(_goal_met(hard_label(scores[n]), spec))) if probe else values
+    # the probe's hard label: the lowest index of its row's largest score
+    return (values, bool(_goal_met(int(scores[n].argmax()), spec))) if probe else values
 
 
 def decision_loss(oracle: QueryOracle, x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -298,7 +300,7 @@ def smoothed_decision_loss(
     if probe:
         xq = np.concatenate((xq, x[n:]))
     losses = decision_loss(oracle, xq, spec)
-    values = losses[:n * samples].reshape(n, samples).sum(axis=1) / samples
+    values = np.add.reduce(losses[:n * samples].reshape(n, samples), axis=1) / samples
     return (values, bool(losses[-1] < 0)) if probe else values
 
 

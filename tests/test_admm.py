@@ -33,7 +33,7 @@ from admmattack.core import (
     lp_norms,
     project_box_linf,
 )
-from admmattack.grad_est import BLOCK_ITERATIONS, RgeConfig
+from admmattack.grad_est import RgeConfig, block_iterations
 from admmattack.losses import FeedbackMode, LossConfig, ModelOracle
 from admmattack.victim import SoftmaxModel
 
@@ -621,12 +621,21 @@ class TestRunAttack:
             AdmmConfig(alpha=-1.0)
 
 
+# The helper-thread tests attack at the acceptance shape, Q = 20 directions
+# in 64 dimensions, so that each direction block holds BLOCK iterations.
+THREAD_Q, THREAD_DIM = 20, 64
+BLOCK = block_iterations(THREAD_Q, THREAD_DIM)
+
+
 class ThreadCountingVictim:
-    """Class 1 wins iff x[0] > 0.5. Records the thread count at each call and
-    raises RuntimeError at call ``fail_at``, if given."""
+    """Class 1 wins iff x[0] > 0.5, in THREAD_DIM dimensions. Records the
+    thread count at each call and raises RuntimeError at call ``fail_at``,
+    if given."""
 
     def __init__(self, fail_at=None):
-        self.model = SoftmaxModel(np.array([[0.0, 0.0], [8.0, 0.0]]), np.array([0.0, -4.0]))
+        w = np.zeros((2, THREAD_DIM))
+        w[1, 0] = 8.0
+        self.model = SoftmaxModel(w, np.array([0.0, -4.0]))
         self.fail_at, self.threads = fail_at, []
 
     def predict_scores(self, x):
@@ -636,27 +645,34 @@ class ThreadCountingVictim:
         return self.model.predict_scores(x)
 
 
-@pytest.mark.parametrize("refine, fail_at", [(True, None), (False, None), (True, 20)],
+def thread_attack(victim, refine=True):
+    """A score run on ThreadCountingVictim from x0 = (0.3, 0.5, ..., 0.5),
+    with the budget of three direction blocks. The helper draws the second
+    and third, so it is still running when the run starts: the ring holds
+    the run's block and one drawn ahead."""
+    x0 = np.full(THREAD_DIM, 0.5)
+    x0[0] = 0.3
+    iter_cost = THREAD_Q + 2  # Q + 1 RGE rows and the success probe
+    cfg = AdmmConfig(rho=1.0, max_queries=3 * BLOCK * iter_cost, success_then_refine=refine)
+    return run_attack(make_spec(x0), cfg, LossConfig(), ModelOracle(victim), RngStream(3),
+                      rge_cfg=RgeConfig(q=THREAD_Q, nu=0.1))
+
+
+@pytest.mark.parametrize("refine, fail_at", [(True, None), (False, None), (True, BLOCK + 4)],
                          ids=["full budget", "stop at first success", "oracle raises mid-run"])
 def test_no_direction_thread_outlives_run_attack(refine, fail_at):
     before = threading.active_count()
     victim = ThreadCountingVictim(fail_at)
-    cfg = AdmmConfig(rho=1.0, max_queries=500, success_then_refine=refine)  # 100 iterations
-
-    def attack():
-        return run_attack(make_spec(np.array([0.3, 0.5])), cfg, LossConfig(),
-                          ModelOracle(victim), RngStream(3), rge_cfg=RgeConfig(q=3, nu=0.1))
-
     if fail_at is None:
-        rep = attack()
+        rep = thread_attack(victim, refine)
         if refine:
-            assert len(rep.records) == 100
+            assert len(rep.records) == 3 * BLOCK
         else:  # stops within the first block, with the helper running
-            assert rep.success and len(rep.records) == len(victim.threads) < BLOCK_ITERATIONS
+            assert rep.success and len(rep.records) == len(victim.threads) < BLOCK
     else:
         with pytest.raises(RuntimeError, match="mid-run"):
-            attack()
-        assert len(victim.threads) == fail_at > BLOCK_ITERATIONS
+            thread_attack(victim, refine)
+        assert len(victim.threads) == fail_at > BLOCK
     assert victim.threads[0] == before + 1  # the helper was running
     assert threading.active_count() == before
 
@@ -682,28 +698,25 @@ def failing_helper(monkeypatch):
 
 
 def test_a_victim_fault_is_not_replaced_by_a_helper_fault(failing_helper):
-    victim = ThreadCountingVictim(fail_at=5)  # within the first block
     with pytest.raises(RuntimeError, match="mid-run"):
-        run_attack(make_spec(np.array([0.3, 0.5])), AdmmConfig(rho=1.0, max_queries=500),
-                   LossConfig(), ModelOracle(victim), RngStream(3), rge_cfg=RgeConfig(q=3, nu=0.1))
+        thread_attack(ThreadCountingVictim(fail_at=5))  # within the first block
     assert len(failing_helper) == 1
 
 
 def test_a_helper_fault_in_a_block_no_iteration_reached_leaves_the_run_finished(
         failing_helper):
-    cfg = AdmmConfig(rho=1.0, max_queries=500, success_then_refine=False)
-    rep = run_attack(make_spec(np.array([0.3, 0.5])), cfg, LossConfig(),
-                     ModelOracle(ThreadCountingVictim()), RngStream(3),
-                     rge_cfg=RgeConfig(q=3, nu=0.1))
-    assert rep.success and len(rep.records) < BLOCK_ITERATIONS
+    rep = thread_attack(ThreadCountingVictim(), refine=False)
+    assert rep.success and len(rep.records) < BLOCK
     assert len(failing_helper) == 1
 
 
 def test_a_decision_run_draws_its_directions_on_the_callers_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
-    spec = make_spec(np.array([0.3, 0.5]))
+    x0, init = np.full(THREAD_DIM, 0.5), np.zeros(THREAD_DIM)
+    x0[0], init[0] = 0.3, 0.3
     loss_cfg = LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=0.5, smoothing_samples=2)
-    cfg = AdmmConfig(rho=1.0, max_queries=(2 * BLOCK_ITERATIONS) * 9 + 1)  # 32 iterations
-    rep = run_attack(spec, cfg, loss_cfg, ModelOracle(ThreadCountingVictim()), RngStream(3),
-                     rge_cfg=RgeConfig(q=3, nu=0.1), init_delta=np.array([0.3, 0.0]))
-    assert len(rep.records) == 2 * BLOCK_ITERATIONS
+    iter_cost = (THREAD_Q + 1) * 2 + 1
+    cfg = AdmmConfig(rho=1.0, max_queries=3 * BLOCK * iter_cost + 1)  # three blocks
+    rep = run_attack(make_spec(x0), cfg, loss_cfg, ModelOracle(ThreadCountingVictim()),
+                     RngStream(3), rge_cfg=RgeConfig(q=THREAD_Q, nu=0.1), init_delta=init)
+    assert len(rep.records) == 3 * BLOCK

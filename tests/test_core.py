@@ -192,3 +192,5 @@ class TestProblemSpec:
             ProblemSpec(x0=np.array([1.5]), target=0, num_classes=3, epsilon=0.5)
         with pytest.raises(ValueError):
             ProblemSpec(x0=np.array([np.nan, 0.5]), target=0, num_classes=2, epsilon=1.0)
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            ProblemSpec(x0=np.zeros(0), target=0, num_classes=2, epsilon=1.0)

@@ -91,6 +91,19 @@ class TestMatern52:
         with pytest.raises(ValueError):
             GpHyper(lengthscales=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["theta0", "lengthscale", "noise_var"])
+    def test_rejects_non_finite_hypers(self, field, bad):
+        kw = {"lengthscales": np.array([1.0, bad])} if field == "lengthscale" else {field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            GpHyper(**kw)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (0,)])
+    def test_lengthscales_are_one_number_or_a_1d_array(self, shape):
+        with pytest.raises(ValueError, match=r"1-D array .* got shape"):
+            GpHyper(lengthscales=np.ones(shape))
+        assert GpHyper(lengthscales=2.0).lengthscales.tolist() == [2.0]
+
 
 class TestPosterior:
     def test_noise_free_interpolation(self):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from admmattack.core import RngStream, row_norms
-from admmattack.grad_est import BLOCK_ITERATIONS, DirectionSource, RgeConfig, rge_with_base
+from admmattack.grad_est import (
+    BLOCK_BYTES,
+    DirectionSource,
+    RgeConfig,
+    block_iterations,
+    rge_with_base,
+)
 
 
 class CountingLoss:
@@ -171,25 +177,53 @@ def test_unit_directions_are_one_normal_draw_over_its_row_norms():
     assert out.tobytes() == (g / row_norms(g)).tobytes()
 
 
-@pytest.mark.parametrize("q, d", [(20, 64), (3, 5)])
-@pytest.mark.parametrize("iterations", [1, 15, 16, 17, 33])
-def test_prefetched_directions_equal_per_iteration_draws(iterations, q, d):
+def test_a_block_holds_whole_iterations_within_its_byte_budget():
+    assert block_iterations(20, 64) == 51  # the acceptance shape
+    assert block_iterations(20, 784) == 4
+    assert block_iterations(1, BLOCK_BYTES // 8) == 1
+    assert block_iterations(1, BLOCK_BYTES // 8 + 1) == 1  # one iteration past the budget
+    for q, d in [(20, 64), (3, 5), (20, 784), (7, 333)]:
+        b = block_iterations(q, d)
+        assert b * q * d * 8 <= BLOCK_BYTES < (b + 1) * q * d * 8
+
+
+# (blocks, extra iterations) of each run named by its length in blocks of B
+BLOCK_RUNS = {"B-1": (1, -1), "B": (1, 0), "B+1": (1, 1), "2B+1": (2, 1)}
+
+
+# runs of fixed lengths, and of about one and two blocks of B =
+# block_iterations(q, d), so that whatever the block size some runs cross a
+# block boundary or end on one; d = 784 has blocks of 4 iterations
+@pytest.mark.parametrize("q, d", [(20, 64), (3, 5), (20, 784)])
+@pytest.mark.parametrize("run", [1, 15, 16, 17, 33, *BLOCK_RUNS])
+def test_prefetched_directions_equal_per_iteration_draws(run, q, d):
+    if isinstance(run, int):
+        iterations = run
+    else:
+        blocks, extra = BLOCK_RUNS[run]
+        iterations = blocks * block_iterations(q, d) + extra
     rng, twin = RngStream(4).child(2), RngStream(4).child(2)
     source = DirectionSource(rng, q, d, iterations)
+    ring = None
     try:
         for _ in range(iterations):
-            assert source.unit_directions(q, d).tobytes() == twin.unit_directions(q, d).tobytes()
+            u = source.unit_directions(q, d)
+            ring = u.base if ring is None else ring
+            assert u.base is ring  # every block is a view of one ring
+            assert u.tobytes() == twin.unit_directions(q, d).tobytes()
         with pytest.raises(RuntimeError, match="spent"):
             source.unit_directions(q, d)
     finally:
         source.close()
     assert rng.gen.bit_generator.state == twin.gen.bit_generator.state
+    assert ring.nbytes <= 2 * BLOCK_BYTES
 
 
 def test_interleaved_sources_under_fast_thread_switching_keep_their_bits():
     # five threads, more than the host's cores: this one reads four sources
     # in turn while their helpers draw, switching threads as often as it can
-    q, d, iterations = 2, 3, 5 * BLOCK_ITERATIONS + 3
+    q, d = 2, 4096
+    iterations = 5 * block_iterations(q, d) + 3
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     sources = []
@@ -225,9 +259,10 @@ class FailingStream:
 
 
 def test_a_fault_on_the_helper_thread_surfaces_in_the_caller():
-    source = DirectionSource(FailingStream(), 2, 3, 2 * BLOCK_ITERATIONS)
+    block = block_iterations(2, 3)
+    source = DirectionSource(FailingStream(), 2, 3, 2 * block)
     try:
-        for _ in range(BLOCK_ITERATIONS):
+        for _ in range(block):
             source.unit_directions(2, 3)
         with pytest.raises(HelperFault, match="drawn on the helper"):
             source.unit_directions(2, 3)
@@ -236,7 +271,7 @@ def test_a_fault_on_the_helper_thread_surfaces_in_the_caller():
 
 
 def test_close_joins_without_raising_a_helper_fault_that_no_call_reached():
-    source = DirectionSource(FailingStream(), 2, 3, 2 * BLOCK_ITERATIONS)
+    source = DirectionSource(FailingStream(), 2, 3, 2 * block_iterations(2, 3))
     source.unit_directions(2, 3)
     source.close()
     assert source._thread is None
@@ -244,5 +279,5 @@ def test_close_joins_without_raising_a_helper_fault_that_no_call_reached():
 
 def test_a_source_that_fits_in_one_block_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
-    DirectionSource(RngStream(1), 2, 3, BLOCK_ITERATIONS).close()
+    DirectionSource(RngStream(1), 2, 3, block_iterations(2, 3)).close()
     DirectionSource(RngStream(1), 2, 3, 0).close()

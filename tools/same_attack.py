@@ -28,8 +28,9 @@ from pathlib import Path
 # softmax victim trained on the first 8 features of the digits: below 33 features the
 # GP fits one lengthscale per dimension, which the 64-feature batches never reach. The
 # score-50 batch is the quick start's 50-pair score batch at the full 20000-query budget.
-# A score-feedback ZO run draws its RGE directions in blocks of 16 iterations, each block
-# after the first on a helper thread: every score batch runs past its first block, and
+# A score-feedback ZO run draws its RGE directions in blocks of
+# grad_est.block_iterations(q, d) iterations, 51 at q = 20 and d = 64, each block after
+# the first on a helper thread: every score batch runs past its first block, and
 # no-refine closes the helper early, at a first success. Decision runs draw inline; the
 # no-refine-decision batch stops at its first success, the initializer, so each pair
 # ends before its first iteration.
