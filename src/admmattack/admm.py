@@ -25,6 +25,7 @@ from .bo import BoConfig, BoDeltaSolver
 from .core import (
     ProblemSpec,
     RngStream,
+    check_integers,
     distortion_value,
     lp_norms,
     project_box_linf,
@@ -54,6 +55,7 @@ class AdmmConfig:
     delta_backend: DeltaBackend = DeltaBackend.ZO
 
     def __post_init__(self):
+        check_integers(self, "max_queries")
         if not 0 < self.rho < math.inf:  # NaN fails too
             raise ValueError("rho must be positive and finite")
         if not 0 < self.alpha < math.inf:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector, feasible_bounds
+from .core import RngStream, as_vector, check_integers, feasible_bounds
 from .gp import GpFactorizationError, GpModel
 
 
@@ -33,6 +33,8 @@ class BoConfig:
     fit_learning_rate: float = 0.1
 
     def __post_init__(self):
+        check_integers(self, "init_samples", "ei_restarts", "ei_steps", "max_bo_iters",
+                       "max_observations", "fit_steps")
         if min(self.init_samples, self.ei_restarts, self.ei_steps, self.max_observations) < 1:
             raise ValueError("BO counts must be positive")
         for rate in (self.ei_learning_rate, self.fit_learning_rate):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,18 @@ def as_vector(v) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
     return arr
+
+
+def check_integers(config, *names: str) -> None:
+    """Raise ValueError naming the first of config's fields ``names`` that is
+    not an integer to ``operator.index`` (a float, say); NumPy integers pass."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{type(config).__name__}.{name} must be an integer, "
+                             f"got {value!r}") from None
 
 
 def _check_same_length(x0: np.ndarray, v: np.ndarray) -> None:
@@ -63,6 +76,7 @@ class ProblemSpec:
     attack_mode: AttackMode = AttackMode.TARGETED
 
     def __post_init__(self):
+        check_integers(self, "target")
         object.__setattr__(self, "x0", as_vector(self.x0))
         if not len(self.x0):
             raise ValueError("x0 must have at least one coordinate")
@@ -128,26 +142,34 @@ class RngStream:
         u /= row_norms(u)
         return u
 
-    def unit_ball(self, n: int, d: int) -> np.ndarray:
-        """n uniform draws inside the unit Euclidean ball, as an (n, d) stack.
+    def unit_ball(self, n: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n uniform draws inside the unit Euclidean ball, as an (n, d) stack
+        (in ``out`` if given).
 
-        Per row, a standard_normal(d) direction and then one random() for
-        its radius (random() gives the bits of uniform(0, 1)); all rows are
-        scaled to unit norm after the draws.
+        Per row, a standard_normal(d) direction and then the one 64-bit word
+        that random() would take for its radius; all rows are scaled to unit
+        norm after the draws. The stream is PCG64, whose random() is
+        ``(word >> 11) * 2**-53``, so each radius ``u ** (1/d)`` has the bits
+        of random() ** (1/d) (and of uniform(0, 1), which is 0 + 1 * random()).
+        The power is a Python float power, libm's pow, as np.power may take a
+        SIMD path that rounds differently.
         """
-        g = np.empty((n, d))
-        r = np.empty(n)
-        normal, random = self.gen.standard_normal, self.gen.random
-        power = 1.0 / d
-        for i, row in enumerate(g):
+        if out is None:
+            out = np.empty((n, d))
+        elif out.shape != (n, d):
+            raise ValueError(f"out has shape {out.shape}, expected {(n, d)}")
+        normal, raw = self.gen.standard_normal, self.gen.bit_generator.random_raw
+        words = []
+        for row in out:
             normal(out=row)
-            r[i] = random() ** power  # a Python float power
-        norms = row_norms(g)
+            words.append(raw())
+        norms = row_norms(out)
         if not norms.all():
             raise ValueError("a unit-ball direction drew an all-zero normal vector")
-        g /= norms
-        g *= r[:, None]
-        return g
+        power = 1.0 / d
+        out /= norms
+        out *= np.array([((w >> 11) * 2**-53) ** power for w in words])[:, None]
+        return out
 
 
 def feasible_bounds(x0: np.ndarray, epsilon: float):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector
+from .core import RngStream, as_vector, check_integers
 
 # Bytes of float64 directions a DirectionSource draws in one block, in whole
 # iterations but at least one, so that its ring of two blocks holds at most
@@ -34,6 +34,7 @@ class RgeConfig:
     nu: float = 0.5
 
     def __post_init__(self):
+        check_integers(self, "q")
         if self.q < 1:
             raise ValueError("need at least one random direction")
         if not 0 < self.nu < math.inf:  # NaN fails too

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttackMode, ProblemSpec, RngStream
+from .core import AttackMode, ProblemSpec, RngStream, check_integers
 
 # Probabilities are clipped here before taking logs so hard one-hot
 # victims cannot produce infinite losses.
@@ -36,6 +36,7 @@ class LossConfig:
     smoothing_samples: int = 10
 
     def __post_init__(self):
+        check_integers(self, "smoothing_samples")
         if self.mode is FeedbackMode.DECISION:
             if not 0 < self.smoothing_mu < math.inf:  # NaN fails too
                 raise ValueError("smoothing mu must be positive and finite")
@@ -288,19 +289,26 @@ def smoothed_decision_loss(
     smoothed, and it goes to the oracle as the last row of the same label
     query. The result is then (the values of the other rows, whether the
     attack goal is met at the probe).
+
+    The query stack is built in place, a fresh array per call since the
+    oracle receives it: the draws fill its first n*N rows, and the probe,
+    if any, is written last.
     """
     n, d = np.shape(x)
     if probe:
         n -= 1
     samples = cfg.smoothing_samples
-    xq = rng.unit_ball(n * samples, d)
-    xq *= cfg.smoothing_mu
-    xq += np.repeat(x[:n], samples, axis=0)
-    xq.clip(0.0, 1.0, out=xq)
+    m = n * samples
+    xq = np.empty((m + 1 if probe else m, d))
+    smoothed = rng.unit_ball(m, d, out=xq[:m])
+    smoothed *= cfg.smoothing_mu
+    per_row = smoothed.reshape(n, samples, d)  # a view: row i's N samples
+    np.add(per_row, x[:n, None], out=per_row)
+    smoothed.clip(0.0, 1.0, out=smoothed)
     if probe:
-        xq = np.concatenate((xq, x[n:]))
+        xq[m] = x[n]
     losses = decision_loss(oracle, xq, spec)
-    values = np.add.reduce(losses[:n * samples].reshape(n, samples), axis=1) / samples
+    values = np.add.reduce(losses[:m].reshape(n, samples), axis=1) / samples
     return (values, bool(losses[-1] < 0)) if probe else values
 
 

@@ -619,6 +619,9 @@ class TestRunAttack:
             AdmmConfig(rho=0.0)
         with pytest.raises(ValueError):
             AdmmConfig(alpha=-1.0)
+        with pytest.raises(ValueError, match=r"AdmmConfig\.max_queries must be an integer"):
+            AdmmConfig(max_queries=2500.0)
+        assert AdmmConfig(max_queries=np.int64(2500)).max_queries == 2500
 
 
 # The helper-thread tests attack at the acceptance shape, Q = 20 directions

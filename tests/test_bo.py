@@ -501,6 +501,11 @@ def test_config_validation():
         BoConfig(ei_learning_rate=0.0)
     with pytest.raises(ValueError):
         BoConfig(max_bo_iters=-1)
+    for name in ("init_samples", "ei_restarts", "ei_steps", "max_bo_iters", "max_observations",
+                 "fit_steps"):
+        with pytest.raises(ValueError, match=rf"BoConfig\.{name} must be an integer"):
+            BoConfig(**{name: 2.5})
+        assert getattr(BoConfig(**{name: np.int64(2)}), name) == 2
 
 
 class TestEiGradientSameBits:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -150,23 +152,33 @@ class TestRngStream:
 
     @pytest.mark.parametrize("d", [1, 3, 8, 64, 65, 784])
     def test_unit_ball_stack_equals_per_sample_draws(self, d):
-        for seed in range(20):
-            stacked, looped = RngStream(seed), RngStream(seed)
-            u = stacked.unit_ball(210, d)
-            ref = np.array([reference_unit_ball(looped, d) for _ in range(210)])
-            assert u.tobytes() == ref.tobytes()
-            assert stacked.gen.bit_generator.state == looped.gen.bit_generator.state
+        for n in (0, 1, 210):
+            for seed in range(20):
+                stacked, into, looped = RngStream(seed), RngStream(seed), RngStream(seed)
+                u = stacked.unit_ball(n, d)
+                out = np.empty((n, d))
+                into.unit_ball(n, d, out=out)
+                ref = np.array([reference_unit_ball(looped, d) for _ in range(n)]).reshape(n, d)
+                assert u.tobytes() == out.tobytes() == ref.tobytes()
+                state = looped.gen.bit_generator.state
+                assert stacked.gen.bit_generator.state == into.gen.bit_generator.state == state
+
+    def test_unit_ball_returns_its_out_and_rejects_a_wrong_shape(self):
+        rng = RngStream(3)
+        out = np.empty((4, 2))
+        assert rng.unit_ball(4, 2, out=out) is out
+        state = rng.gen.bit_generator.state
+        for shape in [(4, 3), (3, 2), (8,)]:
+            with pytest.raises(ValueError, match="out has shape"):
+                rng.unit_ball(4, 2, out=np.empty(shape))
+        assert rng.gen.bit_generator.state == state  # nothing drawn
 
     def test_unit_ball_all_zero_normal_row_raises(self):
         class ZeroNormals:
+            bit_generator = SimpleNamespace(random_raw=lambda: 1 << 63)  # a radius of 0.5
+
             def standard_normal(self, out):
                 out[...] = 0.0
-
-            def uniform(self):
-                return 0.5
-
-            def random(self):
-                return 0.5
 
         rng = RngStream(0)
         rng.gen = ZeroNormals()
@@ -186,6 +198,9 @@ class TestProblemSpec:
         x0 = np.array([0.5])
         with pytest.raises(ValueError):
             ProblemSpec(x0=x0, target=5, num_classes=3, epsilon=0.5)
+        with pytest.raises(ValueError, match=r"ProblemSpec\.target must be an integer"):
+            ProblemSpec(x0=x0, target=1.0, num_classes=3, epsilon=0.5)
+        assert ProblemSpec(x0=x0, target=np.int64(1), num_classes=3, epsilon=0.5).target == 1
         with pytest.raises(ValueError):
             ProblemSpec(x0=x0, target=0, num_classes=3, epsilon=0.0)
         with pytest.raises(ValueError):

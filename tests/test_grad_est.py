@@ -137,6 +137,9 @@ def test_config_validation():
         RgeConfig(q=0)
     with pytest.raises(ValueError):
         RgeConfig(nu=0.0)
+    with pytest.raises(ValueError, match=r"RgeConfig\.q must be an integer"):
+        RgeConfig(q=2.5)
+    assert RgeConfig(q=np.int64(3)).q == 3
 
 
 def reference_rge_stacked(loss, delta, cfg, rng):

@@ -212,6 +212,75 @@ class TestSmoothedDecisionLoss:
         assert variance(100) <= 0.12 * variance(10)
 
 
+def test_config_validation():
+    for mode in FeedbackMode:
+        with pytest.raises(ValueError, match=r"LossConfig\.smoothing_samples must be an integer"):
+            LossConfig(mode=mode, smoothing_samples=2.5)
+    with pytest.raises(ValueError):
+        LossConfig(mode=FeedbackMode.DECISION, smoothing_samples=0)
+    with pytest.raises(ValueError):
+        LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=math.nan)
+    assert LossConfig(mode=FeedbackMode.DECISION, smoothing_samples=np.int64(3)).smoothing_samples == 3
+
+
+def reference_smoothed_decision_loss(oracle, x, spec, cfg, rng, probe=False):
+    """The np.repeat / np.concatenate form of the smoothed loss: each row of x
+    repeated N times under its scaled ball draws, clipped, then the probe
+    row appended unsmoothed and unclipped."""
+    n, d = np.shape(x)
+    if probe:
+        n -= 1
+    samples = cfg.smoothing_samples
+    xq = rng.unit_ball(n * samples, d)
+    xq *= cfg.smoothing_mu
+    xq += np.repeat(x[:n], samples, axis=0)
+    xq.clip(0.0, 1.0, out=xq)
+    if probe:
+        xq = np.concatenate((xq, x[n:]))
+    losses = decision_loss(oracle, xq, spec)
+    values = np.add.reduce(losses[:n * samples].reshape(n, samples), axis=1) / samples
+    return (values, bool(losses[-1] < 0)) if probe else values
+
+
+class StackKeepingOracle(ModelOracle):
+    """A label-only oracle that keeps a copy of every stack it is sent."""
+
+    def __init__(self, model):
+        super().__init__(model, scores_available=False)
+        self.stacks = []
+
+    def _scores(self, x):
+        self.stacks.append(x.copy())
+        return super()._scores(x)
+
+
+@pytest.mark.parametrize("mode", list(AttackMode))
+@pytest.mark.parametrize("probe", [False, True])
+@pytest.mark.parametrize("samples", [1, 3, 10])
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.5])
+def test_smoothed_decision_loss_equals_the_repeat_form_bitwise(mode, probe, samples, mu):
+    gen = np.random.default_rng(4)  # rows whose smoothed values lie strictly inside (-1, 1)
+    d, k = 6, 3
+    model = SoftmaxModel(4.0 * gen.standard_normal((k, d)), gen.standard_normal(k))
+    x = gen.uniform(0.0, 1.0, (5, d))
+    x[0, :2] = 0.0, 1.0  # on the box's faces
+    spec = ProblemSpec(x0=np.full(d, 0.5), target=0, num_classes=k, epsilon=1.0,
+                       attack_mode=mode)
+    cfg = LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=mu, smoothing_samples=samples)
+    ours_oracle, ref_oracle = StackKeepingOracle(model), StackKeepingOracle(model)
+    ours = smoothed_decision_loss(ours_oracle, x, spec, cfg, RngStream(5), probe)
+    ref = reference_smoothed_decision_loss(ref_oracle, x, spec, cfg, RngStream(5), probe)
+    if probe:
+        assert ours[1] is ref[1]
+        ours, ref = ours[0], ref[0]
+    assert ours.tobytes() == ref.tobytes()
+    assert len(ours_oracle.stacks) == len(ref_oracle.stacks) == 1
+    sent, want = ours_oracle.stacks[0], ref_oracle.stacks[0]
+    assert sent.shape == want.shape == ((len(x) - probe) * samples + probe, d)
+    assert sent.tobytes() == want.tobytes()
+    assert ours_oracle.queries_used == ref_oracle.queries_used == len(sent)
+
+
 def test_uniform_ball_mean_norm():
     # E||u|| = d/(d+1) for the uniform ball
     rng = RngStream(6)

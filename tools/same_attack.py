@@ -33,7 +33,9 @@ from pathlib import Path
 # the first on a helper thread: every score batch runs past its first block, and
 # no-refine closes the helper early, at a first success. Decision runs draw inline; the
 # no-refine-decision batch stops at its first success, the initializer, so each pair
-# ends before its first iteration.
+# ends before its first iteration. Every other decision batch smooths with the default
+# mu = 1 and N = 10, except zo-untargeted-decision: an untargeted ZO decision run with
+# mu = 0.5 and N = 3, so that the smoothing stack's sizes and scale differ.
 BATCHES = [  # name, victim, attack flags
     ("score", "softmax", "--feedback score --budget 2000 --pairs 8 --seed 1"),
     ("decision", "softmax", "--feedback decision --budget 2000 --pairs 5 --seed 108"),
@@ -58,6 +60,8 @@ BATCHES = [  # name, victim, attack flags
     ("score-50", "softmax", "--feedback score --budget 20000 --pairs 50 --seed 1"),
     ("no-refine-decision", "softmax", "--no-refine --feedback decision --budget 2000 --pairs 3 "
      "--seed 31"),
+    ("zo-untargeted-decision", "softmax", "--feedback decision --untargeted --mu 0.5 "
+     "--n-smooth 3 --budget 2000 --pairs 3 --seed 41"),
 ]
 
 # names the admmattack it imported, then writes the first 8 features of the digits
