@@ -25,7 +25,7 @@ from .bo import BoConfig, BoDeltaSolver
 from .core import (
     ProblemSpec,
     RngStream,
-    check_integers,
+    check_fields,
     distortion_value,
     lp_norms,
     project_box_linf,
@@ -55,13 +55,7 @@ class AdmmConfig:
     delta_backend: DeltaBackend = DeltaBackend.ZO
 
     def __post_init__(self):
-        check_integers(self, "max_queries")
-        if not 0 < self.rho < math.inf:  # NaN fails too
-            raise ValueError("rho must be positive and finite")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if self.max_queries < 0:
-            raise ValueError("the query budget must be nonnegative")
+        check_fields(self, positive=("rho", "alpha"), counts={"max_queries": 0})
 
 
 @dataclass
@@ -278,10 +272,10 @@ def run_attack(
 ) -> RunReport:
     """Drive a full attack run and return its report.
 
-    Score mode starts from delta = z = u = 0. Decision mode requires an
-    initializer perturbation that meets the attack goal (typically
-    x_target - x0, or untargeted, any x of another class minus x0); it is
-    projected and verified with one label query.
+    Score mode starts from delta = z = u = 0 and refuses an ``init_delta``.
+    Decision mode requires an initializer perturbation that meets the attack
+    goal (typically x_target - x0, or untargeted, any x of another class
+    minus x0); it is projected and verified with one label query.
     """
     delta0, best, rows_per_eval = np.zeros(spec.dim), BestIterate(), 1
     if loss_cfg.mode is FeedbackMode.DECISION:
@@ -293,6 +287,8 @@ def run_attack(
         if not is_success(oracle, x.clip(0.0, 1.0, out=x), spec):
             raise InfeasibleInitializer("initial perturbed input does not meet the attack goal")
         _, best = _keep_best(best, delta0, spec, True, oracle.queries_used)
+    elif init_delta is not None:
+        raise ValueError("score mode starts from zero; it takes no initial perturbation")
     state = AttackState(delta=delta0, z=np.array(delta0), u=np.zeros(spec.dim), best=best)
 
     rge_cfg = rge_cfg or RgeConfig()

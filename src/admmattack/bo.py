@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector, check_integers, feasible_bounds
+from .core import RngStream, as_vector, check_fields, feasible_bounds
 from .gp import GpFactorizationError, GpModel
 
 
@@ -33,15 +33,9 @@ class BoConfig:
     fit_learning_rate: float = 0.1
 
     def __post_init__(self):
-        check_integers(self, "init_samples", "ei_restarts", "ei_steps", "max_bo_iters",
-                       "max_observations", "fit_steps")
-        if min(self.init_samples, self.ei_restarts, self.ei_steps, self.max_observations) < 1:
-            raise ValueError("BO counts must be positive")
-        for rate in (self.ei_learning_rate, self.fit_learning_rate):
-            if not 0 < rate < math.inf:  # NaN fails too
-                raise ValueError("learning rates must be positive and finite")
-        if min(self.max_bo_iters, self.fit_steps) < 0:
-            raise ValueError("max_bo_iters and fit_steps must be nonnegative")
+        check_fields(self, positive=("ei_learning_rate", "fit_learning_rate"),
+                     counts={"init_samples": 1, "ei_restarts": 1, "ei_steps": 1,
+                             "max_bo_iters": 0, "max_observations": 1, "fit_steps": 0})
 
 
 def _norm_pdf(z):

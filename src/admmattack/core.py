@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +37,31 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def check_integers(config, *names: str) -> None:
-    """Raise ValueError naming the first of config's fields ``names`` that is
-    not an integer to ``operator.index`` (a float, say); NumPy integers pass."""
-    for name in names:
+def check_fields(config, positive=(), nonnegative=(), counts=()) -> None:
+    """Raise ValueError naming the first of config's fields that breaks its rule.
+
+    Each ``positive`` field must lie in (0, inf) and each ``nonnegative`` one in
+    [0, inf); NaN fails both. ``counts`` maps each count field to its least
+    value: the field must be an integer to ``operator.index`` (NumPy integers
+    pass, a bool does not) of at least that value.
+    """
+    def fail(name, value, rule):
+        raise ValueError(f"{type(config).__name__}.{name} must be {rule}, got {value!r}")
+
+    for name in positive:
+        if not 0 < (value := getattr(config, name)) < math.inf:
+            fail(name, value, "positive and finite")
+    for name in nonnegative:
+        if not 0 <= (value := getattr(config, name)) < math.inf:
+            fail(name, value, "nonnegative and finite")
+    for name, least in dict(counts).items():
         value = getattr(config, name)
         try:
-            operator.index(value)
+            ok = not isinstance(value, bool) and operator.index(value) >= least
         except TypeError:
-            raise ValueError(f"{type(config).__name__}.{name} must be an integer, "
-                             f"got {value!r}") from None
+            ok = False
+        if not ok:
+            fail(name, value, f"an integer of at least {least}")
 
 
 def _check_same_length(x0: np.ndarray, v: np.ndarray) -> None:
@@ -76,21 +91,17 @@ class ProblemSpec:
     attack_mode: AttackMode = AttackMode.TARGETED
 
     def __post_init__(self):
-        check_integers(self, "target")
+        check_fields(self, nonnegative=("gamma", "kappa", "beta"),
+                     counts={"target": 0, "num_classes": 2})
         object.__setattr__(self, "x0", as_vector(self.x0))
         if not len(self.x0):
             raise ValueError("x0 must have at least one coordinate")
         if not np.all((self.x0 >= 0.0) & (self.x0 <= 1.0)):  # NaN fails too
             raise ValueError("x0 must lie in [0,1]^d")
-        if not (0 <= self.target < self.num_classes):
+        if self.target >= self.num_classes:
             raise ValueError("target class out of range")
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
         if not self.epsilon > 0:  # NaN fails too; an infinite epsilon leaves only the box
             raise ValueError("epsilon must be positive")
-        for name in ("gamma", "kappa", "beta"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be nonnegative and finite")
 
     @property
     def dim(self) -> int:

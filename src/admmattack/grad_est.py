@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector, check_integers
+from .core import RngStream, as_vector, check_fields
 
 # Bytes of float64 directions a DirectionSource draws in one block, in whole
 # iterations but at least one, so that its ring of two blocks holds at most
@@ -34,11 +34,7 @@ class RgeConfig:
     nu: float = 0.5
 
     def __post_init__(self):
-        check_integers(self, "q")
-        if self.q < 1:
-            raise ValueError("need at least one random direction")
-        if not 0 < self.nu < math.inf:  # NaN fails too
-            raise ValueError("smoothing radius nu must be positive and finite")
+        check_fields(self, positive=("nu",), counts={"q": 1})
 
 
 def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
@@ -58,6 +54,8 @@ def rge_with_base(loss, delta: np.ndarray, cfg: RgeConfig, rng: RngStream):
     np.multiply(u, cfg.nu, out=points[1:])
     points[1:] += delta
     values = np.asarray(loss(points), dtype=np.float64)
+    if values.shape != (cfg.q + 1,):
+        raise ValueError(f"loss must return one value per row, got shape {values.shape}")
     base = float(values[0])
     if not math.isfinite(base):
         raise ValueError("non-finite loss value at the base point")

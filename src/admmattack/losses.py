@@ -9,7 +9,6 @@ query more than their documented count.
 from __future__ import annotations
 
 import enum
-import math
 import struct
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttackMode, ProblemSpec, RngStream, check_integers
+from .core import AttackMode, ProblemSpec, RngStream, check_fields
 
 # Probabilities are clipped here before taking logs so hard one-hot
 # victims cannot produce infinite losses.
@@ -36,12 +35,7 @@ class LossConfig:
     smoothing_samples: int = 10
 
     def __post_init__(self):
-        check_integers(self, "smoothing_samples")
-        if self.mode is FeedbackMode.DECISION:
-            if not 0 < self.smoothing_mu < math.inf:  # NaN fails too
-                raise ValueError("smoothing mu must be positive and finite")
-            if self.smoothing_samples < 1:
-                raise ValueError("need at least one smoothing sample")
+        check_fields(self, positive=("smoothing_mu",), counts={"smoothing_samples": 1})
 
 
 class OracleCapabilityError(RuntimeError):
@@ -282,8 +276,7 @@ def smoothed_decision_loss(
     The directions are uniform in the unit ball, scaled by mu: one (n*N, d)
     stack from ``rng.unit_ball``, the N samples of the first row first.
     All of them go to the oracle in one call, clamped to [0,1]^d so real
-    oracles never see out-of-range pixels. A decision-mode LossConfig has
-    checked mu and N.
+    oracles never see out-of-range pixels.
 
     With ``probe``, the last row of x is a success probe: it is not
     smoothed, and it goes to the oracle as the last row of the same label

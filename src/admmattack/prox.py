@@ -13,12 +13,11 @@ make the nonzero branch lose; exact ties go to 0 for sparsity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Distortion, as_vector, feasible_bounds
+from .core import Distortion, as_vector, check_fields, feasible_bounds
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,7 @@ class ZStepInput:
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a))
         object.__setattr__(self, "x0", as_vector(self.x0))
-        if not 0 < self.rho < math.inf:  # NaN fails too
-            raise ValueError("rho must be positive and finite")
-        for name in ("gamma", "beta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
+        check_fields(self, positive=("rho",), nonnegative=("gamma", "beta"))
         if not self.epsilon > 0:  # an infinite epsilon leaves only the box
             raise ValueError("epsilon must be positive")
         if self.a.shape != self.x0.shape:

@@ -593,6 +593,14 @@ class TestRunAttack:
         with pytest.raises(ValueError):
             run_attack(spec, cfg, loss_cfg, oracle, RngStream(0))
 
+    def test_score_mode_refuses_an_initializer_before_any_query(self):
+        spec = make_spec(np.full(2, 0.5))
+        oracle = FunctionOracle(lambda x: np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="no initial perturbation"):
+            run_attack(spec, AdmmConfig(rho=1.0, max_queries=100), LossConfig(), oracle,
+                       RngStream(0), init_delta=np.full(2, 0.1))
+        assert oracle.queries_used == 0
+
     def test_decision_mode_rejects_bad_initializer(self):
         x0 = np.full(2, 0.5)
         spec = make_spec(x0, target=1)
@@ -619,8 +627,9 @@ class TestRunAttack:
             AdmmConfig(rho=0.0)
         with pytest.raises(ValueError):
             AdmmConfig(alpha=-1.0)
-        with pytest.raises(ValueError, match=r"AdmmConfig\.max_queries must be an integer"):
-            AdmmConfig(max_queries=2500.0)
+        for budget in (2500.0, True):
+            with pytest.raises(ValueError, match=r"AdmmConfig\.max_queries must be an integer"):
+                AdmmConfig(max_queries=budget)
         assert AdmmConfig(max_queries=np.int64(2500)).max_queries == 2500
 
 

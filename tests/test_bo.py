@@ -503,8 +503,9 @@ def test_config_validation():
         BoConfig(max_bo_iters=-1)
     for name in ("init_samples", "ei_restarts", "ei_steps", "max_bo_iters", "max_observations",
                  "fit_steps"):
-        with pytest.raises(ValueError, match=rf"BoConfig\.{name} must be an integer"):
-            BoConfig(**{name: 2.5})
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=rf"BoConfig\.{name} must be an integer"):
+                BoConfig(**{name: value})
         assert getattr(BoConfig(**{name: np.int64(2)}), name) == 2
 
 

@@ -341,7 +341,7 @@ class TestAttack:
     @pytest.mark.parametrize("extra", [
         ["--rho", "-1"], ["--q", "0"], ["--nu", "0"], ["--alpha", "0"], ["--eps", "0"],
         ["--gamma", "-1"], ["--kappa", "-1"], ["--feedback", "decision", "--n-smooth", "0"],
-        ["--feedback", "decision", "--mu", "0"],
+        ["--feedback", "decision", "--mu", "0"], ["--feedback", "score", "--n-smooth", "0"],
     ], ids="=".join)
     def test_invalid_setting_is_usage_error(self, tmp_path, trained_weights, capsys, extra):
         out = tmp_path / "r"

@@ -198,9 +198,13 @@ class TestProblemSpec:
         x0 = np.array([0.5])
         with pytest.raises(ValueError):
             ProblemSpec(x0=x0, target=5, num_classes=3, epsilon=0.5)
-        with pytest.raises(ValueError, match=r"ProblemSpec\.target must be an integer"):
-            ProblemSpec(x0=x0, target=1.0, num_classes=3, epsilon=0.5)
+        for target in (1.0, True, -1):
+            with pytest.raises(ValueError, match=r"ProblemSpec\.target must be an integer"):
+                ProblemSpec(x0=x0, target=target, num_classes=3, epsilon=0.5)
         assert ProblemSpec(x0=x0, target=np.int64(1), num_classes=3, epsilon=0.5).target == 1
+        for k in (2.5, 1):
+            with pytest.raises(ValueError, match=r"ProblemSpec\.num_classes must be an integer"):
+                ProblemSpec(x0=x0, target=0, num_classes=k, epsilon=0.5)
         with pytest.raises(ValueError):
             ProblemSpec(x0=x0, target=0, num_classes=3, epsilon=0.0)
         with pytest.raises(ValueError):

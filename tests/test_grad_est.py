@@ -132,13 +132,24 @@ def test_base_and_directions_share_one_loss_call():
     assert calls == [(10, 4)]
 
 
+@pytest.mark.parametrize("reply", [
+    lambda V: np.float64(1.0),  # 0-d
+    lambda V: V,  # one row per point, not one value
+    lambda V: np.zeros(len(V) + 1),  # Q + 2 values
+], ids=["scalar", "rows", "one-too-many"])
+def test_a_malformed_loss_reply_is_refused_by_shape(reply):
+    with pytest.raises(ValueError, match=r"one value per row, got shape"):
+        rge_with_base(reply, np.zeros(4), RgeConfig(q=3, nu=0.1), RngStream(8))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RgeConfig(q=0)
     with pytest.raises(ValueError):
         RgeConfig(nu=0.0)
-    with pytest.raises(ValueError, match=r"RgeConfig\.q must be an integer"):
-        RgeConfig(q=2.5)
+    for q in (2.5, True):
+        with pytest.raises(ValueError, match=r"RgeConfig\.q must be an integer"):
+            RgeConfig(q=q)
     assert RgeConfig(q=np.int64(3)).q == 3
 
 

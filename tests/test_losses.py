@@ -163,15 +163,6 @@ class TestSmoothedDecisionLoss:
             oracle, np.full((1, 2), 0.5), make_spec(), self.cfg(n=7), RngStream(1))
         assert oracle.queries_used == 7
 
-    def test_no_samples_fails_at_the_oracle_and_charges_nothing(self):
-        # LossConfig checks N only in decision mode; the oracle then refuses
-        # the empty stack of smoothing queries
-        oracle = fixed_oracle([0.1, 0.9])
-        cfg = LossConfig(mode=FeedbackMode.SCORE, smoothing_samples=0)
-        with pytest.raises(ValueError, match=r"got shape \(0, 2\)"):
-            smoothed_decision_loss(oracle, np.full((1, 2), 0.5), make_spec(), cfg, RngStream(1))
-        assert oracle.queries_used == 0
-
     def test_values_quantized(self):
         model = linear_victim()
         spec = ProblemSpec(x0=np.array([0.5]), target=1, num_classes=2, epsilon=1.0)
@@ -213,14 +204,16 @@ class TestSmoothedDecisionLoss:
 
 
 def test_config_validation():
+    # the smoothing settings are checked in every mode, so no LossConfig
+    # can make smoothed_decision_loss send an empty stack of queries
     for mode in FeedbackMode:
-        with pytest.raises(ValueError, match=r"LossConfig\.smoothing_samples must be an integer"):
-            LossConfig(mode=mode, smoothing_samples=2.5)
-    with pytest.raises(ValueError):
-        LossConfig(mode=FeedbackMode.DECISION, smoothing_samples=0)
-    with pytest.raises(ValueError):
-        LossConfig(mode=FeedbackMode.DECISION, smoothing_mu=math.nan)
-    assert LossConfig(mode=FeedbackMode.DECISION, smoothing_samples=np.int64(3)).smoothing_samples == 3
+        for n in (2.5, True, 0):
+            with pytest.raises(ValueError,
+                               match=r"LossConfig\.smoothing_samples must be an integer"):
+                LossConfig(mode=mode, smoothing_samples=n)
+        with pytest.raises(ValueError, match=r"LossConfig\.smoothing_mu must be positive.*nan"):
+            LossConfig(mode=mode, smoothing_mu=math.nan)
+        assert LossConfig(mode=mode, smoothing_samples=np.int64(3)).smoothing_samples == 3
 
 
 def reference_smoothed_decision_loss(oracle, x, spec, cfg, rng, probe=False):

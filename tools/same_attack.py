@@ -35,7 +35,9 @@ from pathlib import Path
 # no-refine-decision batch stops at its first success, the initializer, so each pair
 # ends before its first iteration. Every other decision batch smooths with the default
 # mu = 1 and N = 10, except zo-untargeted-decision: an untargeted ZO decision run with
-# mu = 0.5 and N = 3, so that the smoothing stack's sizes and scale differ.
+# mu = 0.5 and N = 3, so that the smoothing stack's sizes and scale differ. Every other
+# batch runs rho, alpha, q, nu, gamma and eps at their defaults; score-settings sets all
+# six, so that the configs that check them are built with other values too.
 BATCHES = [  # name, victim, attack flags
     ("score", "softmax", "--feedback score --budget 2000 --pairs 8 --seed 1"),
     ("decision", "softmax", "--feedback decision --budget 2000 --pairs 5 --seed 108"),
@@ -62,6 +64,8 @@ BATCHES = [  # name, victim, attack flags
      "--seed 31"),
     ("zo-untargeted-decision", "softmax", "--feedback decision --untargeted --mu 0.5 "
      "--n-smooth 3 --budget 2000 --pairs 3 --seed 41"),
+    ("score-settings", "softmax", "--rho 3 --alpha 0.5 --q 8 --nu 0.3 --gamma 0.5 --eps 0.5 "
+     "--budget 2000 --pairs 3 --seed 51"),
 ]
 
 # names the admmattack it imported, then writes the first 8 features of the digits
