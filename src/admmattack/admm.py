@@ -275,8 +275,13 @@ def run_attack(
     Score mode starts from delta = z = u = 0 and refuses an ``init_delta``.
     Decision mode requires an initializer perturbation that meets the attack
     goal (typically x_target - x0, or untargeted, any x of another class
-    minus x0); it is projected and verified with one label query.
+    minus x0); it is projected and verified with one label query. A
+    ``spec.num_classes`` other than the oracle's known class count is
+    refused before any query.
     """
+    if oracle.num_classes not in (None, spec.num_classes):
+        raise ValueError(f"the spec has {spec.num_classes} classes, "
+                         f"the oracle's victim {oracle.num_classes}")
     delta0, best, rows_per_eval = np.zeros(spec.dim), BestIterate(), 1
     if loss_cfg.mode is FeedbackMode.DECISION:
         rows_per_eval = loss_cfg.smoothing_samples

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_NO_SUCCESS = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+EXIT_INTERNAL = 4
 
 # The attack settings; each is also an ``attack`` flag and a config key.
 SETTINGS = {
@@ -507,6 +509,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not "no pair succeeded"
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -76,9 +76,11 @@ class QueryOracle:
     A point is a one-row stack to ``_scores`` (full class scores), ``_label``
     and the checks, and gets its row back. An oracle with
     ``scores_available`` false is label-only and refuses score queries.
+    ``num_classes`` is the victim's class count where the oracle knows it.
     """
 
     scores_available = True
+    num_classes: int | None = None
 
     def __init__(self):
         self.queries_used = 0
@@ -110,12 +112,14 @@ class QueryOracle:
 
 
 class ModelOracle(QueryOracle):
-    """Wraps an in-process victim model (anything with predict_scores)."""
+    """Wraps an in-process victim model (anything with predict_scores),
+    and takes its class count from the model's ``num_classes`` if it has one."""
 
     def __init__(self, model, scores_available: bool = True):
         super().__init__()
         self.model = model
         self.scores_available = scores_available
+        self.num_classes = getattr(model, "num_classes", None)
 
     def _scores(self, x):
         return self.model.predict_scores(x)

@@ -601,6 +601,19 @@ class TestRunAttack:
                        RngStream(0), init_delta=np.full(2, 0.1))
         assert oracle.queries_used == 0
 
+    @pytest.mark.parametrize("feedback", list(FeedbackMode))
+    def test_a_class_count_other_than_the_victims_is_refused_before_any_query(self, feedback):
+        decision = feedback is FeedbackMode.DECISION
+        oracle = ModelOracle(SoftmaxModel(np.zeros((3, 2)), np.zeros(3)),
+                             scores_available=not decision)
+        assert oracle.num_classes == 3
+        spec = make_spec(np.full(2, 0.5), target=4, k=7)  # a target the victim lacks
+        loss_cfg = LossConfig(mode=feedback, smoothing_mu=0.5, smoothing_samples=2)
+        with pytest.raises(ValueError, match="7 classes, the oracle's victim 3"):
+            run_attack(spec, AdmmConfig(rho=1.0, max_queries=100), loss_cfg, oracle,
+                       RngStream(0), init_delta=np.zeros(2) if decision else None)
+        assert oracle.queries_used == 0
+
     def test_decision_mode_rejects_bad_initializer(self):
         x0 = np.full(2, 0.5)
         spec = make_spec(x0, target=1)

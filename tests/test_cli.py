@@ -15,6 +15,7 @@ import admmattack.cli as cli
 from admmattack.admm import RunReport
 from admmattack.cli import (
     CSV_HEADER,
+    EXIT_INTERNAL,
     EXIT_NO_SUCCESS,
     EXIT_OK,
     EXIT_RUNTIME,
@@ -312,6 +313,17 @@ class TestAttack:
         err = capsys.readouterr().err
         assert "pair 1" in err
         assert "non-finite loss value" in err
+
+    def test_an_unexpected_exception_is_an_internal_error_not_no_success(
+            self, tmp_path, trained_weights, monkeypatch, capsys):
+        def broken_run_attack(*args, **kwargs):
+            raise IndexError("index 4 is out of bounds")
+
+        monkeypatch.setattr(cli, "run_attack", broken_run_attack)
+        assert run_attack(tmp_path / "r", trained_weights, "--budget", "200") == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal error: IndexError: index 4 is out of bounds" in err
+        assert "Traceback" in err and "broken_run_attack" in err
 
     def test_a_malformed_victim_reply_is_a_run_fault_naming_the_pair(
             self, tmp_path, trained_weights, monkeypatch, capsys):
@@ -629,17 +641,17 @@ class TestUsage:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
-    def test_a_stray_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+    def test_a_stray_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, capsys):
         # exit 2 is for input validation, which raises UsageError where it
-        # happens; any other ValueError propagates
+        # happens; any other ValueError is an internal error
         (tmp_path / "pair_0000.json").write_text("{}")
 
         def broken(docs):
             raise ValueError("not a usage error")
 
         monkeypatch.setattr(cli, "summarize_reports", broken)
-        with pytest.raises(ValueError, match="not a usage error"):
-            main(["report", str(tmp_path)])
+        assert main(["report", str(tmp_path)]) == EXIT_INTERNAL
+        assert "internal error: ValueError: not a usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "attack"])
     def test_a_negative_seed_is_usage_error(self, tmp_path, trained_weights, capsys, command):
