@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmConfig, DeltaBackend, RunReport, run_attack
-from .bo import BoConfig
+from .admm import AdmmConfig, DeltaBackend, run_attack
 from .core import AttackMode, Distortion, ProblemSpec, RngStream, project_box_linf
 from .grad_est import RgeConfig
 from .losses import FeedbackMode, LossConfig, ModelOracle, _goal_met, serve_oracle
@@ -224,26 +223,35 @@ def _initial_perturbations(model, data: Dataset, specs) -> list:
     return inits
 
 
-def _report_to_dict(report: RunReport, pair: int, target: int, timestamp: str) -> dict:
-    values = (report.success, report.queries_first_success, *report.final_norms,
-              report.total_queries)
-    return {
+def _attack_pair(model, spec, init_delta, cfg, loss_cfg, rge_cfg, seed: int, pair: int,
+                 timestamp: str):
+    """Attack pair ``pair`` of the batch seeded ``seed``, on its own stream
+    RngStream(seed).child(pair): (its report text, its aggregate.csv row,
+    whether it succeeded). A fault of the run or of its report is a RunFault
+    that names the pair."""
+    oracle = ModelOracle(model, scores_available=loss_cfg.mode is FeedbackMode.SCORE)
+    try:
+        report = run_attack(spec, cfg, loss_cfg, oracle, RngStream(seed).child(pair),
+                            rge_cfg=rge_cfg, init_delta=init_delta)
+    except (ValueError, RuntimeError) as exc:
+        raise RunFault(f"pair {pair}: {type(exc).__name__}: {exc}") from exc
+    summary = (report.success, report.queries_first_success, *report.final_norms,
+               report.total_queries)
+    doc = {
         "pair": pair,
-        "target": target,
+        "target": spec.target,
         "timestamp": timestamp,
         # JSON has no infinity; of the settings, only --eps may be infinite
         "config": {k: "inf" if v == math.inf else v for k, v in report.config.items()},
         "records": [vars(r) for r in report.records],
-        "summary": dict(zip(SUMMARY_FIELDS, values, strict=True)),
+        "summary": dict(zip(SUMMARY_FIELDS, summary, strict=True)),
     }
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return repr(value)
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise RunFault(f"pair {pair}: the report is not valid JSON: {exc}") from None
+    # csv.writer writes None as an empty cell and a float by its repr
+    return text, [pair, spec.target, int(report.success), *summary[1:]], report.success
 
 
 def cmd_attack(args) -> int:
@@ -273,7 +281,6 @@ def cmd_attack(args) -> int:
         smoothing_samples=settings["n_smooth"],
     ))
     rge_cfg = _valid(lambda: RgeConfig(q=settings["q"], nu=settings["nu"]))
-    bo_cfg = BoConfig()
 
     model = _load_weights(args.weights)
     data = _load_dataset(args.data)
@@ -309,33 +316,16 @@ def cmd_attack(args) -> int:
     out_dir = Path(args.out)
     _on_path("create", "output directory", out_dir,
              lambda p: p.mkdir(parents=True, exist_ok=True))
-    root_rng = RngStream(args.seed)
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-
-    rows = []
-    n_success = 0
-    for pair_idx, (spec, init_delta) in enumerate(zip(specs, init_deltas)):
-        target = spec.target
-        oracle = ModelOracle(model, scores_available=feedback is FeedbackMode.SCORE)
-        try:
-            report = run_attack(
-                spec, cfg, loss_cfg, oracle, root_rng.child(pair_idx),
-                rge_cfg=rge_cfg, bo_cfg=bo_cfg, init_delta=init_delta,
-            )
-        except (ValueError, RuntimeError) as exc:
-            raise RunFault(f"pair {pair_idx}: {type(exc).__name__}: {exc}") from exc
-
-        doc = _report_to_dict(report, pair_idx, target, timestamp)
-        try:
-            text = json.dumps(doc, indent=1, allow_nan=False) + "\n"
-        except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
-            raise RunFault(f"pair {pair_idx}: the report is not valid JSON: {exc}") from None
+    rows, n_success = [], 0
+    for pair, (spec, init_delta) in enumerate(zip(specs, init_deltas)):
+        text, row, success = _attack_pair(model, spec, init_delta, cfg, loss_cfg, rge_cfg,
+                                          args.seed, pair, timestamp)
         # the pairs have run, so a file that cannot be written is a fault
-        _on_path("write", "report", out_dir / f"pair_{pair_idx:04d}.json",
+        _on_path("write", "report", out_dir / f"pair_{pair:04d}.json",
                  lambda p: p.write_text(text), RunFault)
-        rows.append([_csv_cell(v) for v in (pair_idx, target, *doc["summary"].values())])
-        if report.success:
-            n_success += 1
+        rows.append(row)
+        n_success += success
 
     def write_csv(path):
         with open(path, "w", newline="") as fh:

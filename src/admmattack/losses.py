@@ -46,24 +46,30 @@ class OracleReplyError(RuntimeError):
     """The victim's reply to a query broke the oracle contract; nothing was charged."""
 
 
-def _checked_scores(scores, x: np.ndarray) -> np.ndarray:
-    """Scores (n, K) for a stack (n, d), K >= 2 classes, all finite and non-negative."""
+def _checked_scores(scores, x: np.ndarray, k: int | None) -> np.ndarray:
+    """Scores (n, K) for a stack (n, d), all finite and non-negative: K >= 2
+    classes, and K = k where the oracle knows its class count k."""
     s = np.asarray(scores)
-    if s.ndim != 2 or len(s) != len(x) or s.shape[1] < 2 or s.dtype.kind not in "fiu":
+    if (s.ndim != 2 or len(s) != len(x) or s.shape[1] < 2 or s.dtype.kind not in "fiu"
+            or (k is not None and s.shape[1] != k)):
         raise OracleReplyError(f"scores of shape {s.shape} and dtype {s.dtype} for a query "
-                               f"of shape {x.shape}; expected (n, K) numbers, K >= 2")
+                               f"of shape {x.shape}; expected (n, K) numbers, "
+                               + ("K >= 2" if k is None else f"K = {k}"))
     # NaN fails both; each ufunc reduce is what s.min() or s.max() would call
     if not (np.minimum.reduce(s, axis=None) >= 0 and np.maximum.reduce(s, axis=None) < np.inf):
         raise OracleReplyError("scores must be finite and non-negative")
     return s
 
 
-def _checked_labels(labels, x: np.ndarray) -> np.ndarray:
-    """Labels (n,) for a stack (n, d), all non-negative integers."""
+def _checked_labels(labels, x: np.ndarray, k: int | None) -> np.ndarray:
+    """Labels (n,) for a stack (n, d), all non-negative integers, and below k
+    where the oracle knows its class count k."""
     arr = np.asarray(labels)
-    if arr.shape != (len(x),) or arr.dtype.kind not in "iu" or np.minimum.reduce(arr) < 0:
-        raise OracleReplyError(f"labels {arr!r} for a query of shape {x.shape}; "
-                               "expected one non-negative integer per point")
+    if (arr.shape != (len(x),) or arr.dtype.kind not in "iu" or np.minimum.reduce(arr) < 0
+            or (k is not None and np.maximum.reduce(arr) >= k)):
+        raise OracleReplyError(f"labels {arr!r} for a query of shape {x.shape}; expected one "
+                               + ("non-negative integer" if k is None else f"integer in [0, {k})")
+                               + " per point")
     return arr
 
 
@@ -76,7 +82,8 @@ class QueryOracle:
     A point is a one-row stack to ``_scores`` (full class scores), ``_label``
     and the checks, and gets its row back. An oracle with
     ``scores_available`` false is label-only and refuses score queries.
-    ``num_classes`` is the victim's class count where the oracle knows it.
+    ``num_classes`` is the victim's class count where the oracle knows it;
+    the checks then hold each reply to it.
     """
 
     scores_available = True
@@ -98,7 +105,7 @@ class QueryOracle:
         if x.ndim not in (1, 2) or x.shape[0] == 0:
             raise ValueError(f"a query takes one point (d,) or a stack (n, d), got shape {x.shape}")
         X = x if x.ndim == 2 else x[None]  # a point is a one-row stack
-        out = check(answer(X), X)
+        out = check(answer(X), X, self.num_classes)
         self.queries_used += len(X)
         if x.ndim == 2:
             return out
@@ -108,7 +115,7 @@ class QueryOracle:
         raise NotImplementedError
 
     def _label(self, x: np.ndarray):
-        return hard_label(self._scores(x))
+        return hard_label(_checked_scores(self._scores(x), x, self.num_classes))
 
 
 class ModelOracle(QueryOracle):

@@ -528,12 +528,39 @@ class TestReplyChecks:
         (np.array([0, -2]), np.full((2, 2), 0.5)),
         (np.array([0, 1, 1]), np.full((2, 2), 0.5)),
         (np.array([0.0, 1.0]), np.full((2, 2), 0.5)),
+        (np.array([3]), np.full(2, 0.5)),
+        (np.array([99, 99]), np.full((2, 2), 0.5)),
     ], ids=["negative", "float", "bool", "a stack for a point", "a scalar, not a stack",
-            "negative in a stack", "too many", "float stack"])
+            "negative in a stack", "too many", "float stack", "K", "past K in a stack"])
     def test_bad_labels(self, labels, x):
         oracle = ScriptedLabels(labels)
+        oracle.num_classes = 3
         with pytest.raises(OracleReplyError):
             oracle.query_label(x)
+        assert oracle.queries_used == 0
+
+    @pytest.mark.parametrize("scores_available", [True, False], ids=["scores", "label"])
+    def test_scores_of_another_width_than_the_victims(self, softmax_victim, scores_available):
+        class NineWide:
+            num_classes = softmax_victim.num_classes
+
+            def predict_scores(self, x):
+                return softmax_victim.predict_scores(x)[:, :9]
+
+        oracle = ModelOracle(NineWide(), scores_available=scores_available)
+        with pytest.raises(OracleReplyError, match="K = 10"):
+            if scores_available:
+                oracle.query_scores(np.full((2, 64), 0.5))
+            else:
+                oracle.query_label(np.full((2, 64), 0.5))
+        assert oracle.queries_used == 0
+
+    def test_a_label_only_oracle_checks_the_scores_it_takes_labels_from(self):
+        model = SoftmaxModel(np.zeros((3, 2)), np.zeros(3))
+        model.predict_scores = lambda x: np.tile([0.5, np.nan, 0.5], (len(x), 1))
+        oracle = ModelOracle(model, scores_available=False)
+        with pytest.raises(OracleReplyError, match="finite"):
+            oracle.query_label(np.full((2, 2), 0.5))
         assert oracle.queries_used == 0
 
     def test_good_replies_are_charged(self):

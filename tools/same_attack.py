@@ -24,10 +24,13 @@ from pathlib import Path
 # with score and decision feedback, under l2, l1 and l0, untargeted and on the MLP, a
 # run that stops at its first success, the z-step of every distortion (l0, l1, l2,
 # elastic net; l0 and l1 also with decision feedback) and an untargeted score loss, on
-# the softmax victim with kappa > 0 and on the MLP. The ard batch attacks, with BO, a
-# softmax victim trained on the first 8 features of the digits: below 33 features the
-# GP fits one lengthscale per dimension, which the 64-feature batches never reach. The
-# score-50 batch is the quick start's 50-pair score batch at the full 20000-query budget.
+# the softmax victim with kappa > 0 and on the MLP. The l0 and bo-l0 batches each
+# leave a pair without success, so an aggregate.csv row with an empty cell (the l0
+# batch's pair 0: 0,0,0,,0,0.0,0.0,0.0,1980) is compared byte for byte. The ard
+# batch attacks, with BO, a softmax victim trained on the first 8 features of the
+# digits: below 33 features the GP fits one lengthscale per dimension, which the
+# 64-feature batches never reach. The score-50 batch is the quick start's 50-pair
+# score batch at the full 20000-query budget.
 # A score-feedback ZO run draws its RGE directions in blocks of
 # grad_est.block_iterations(q, d) iterations, 51 at q = 20 and d = 64, each block after
 # the first on a helper thread: every score batch runs past its first block, and
