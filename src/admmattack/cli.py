@@ -159,6 +159,8 @@ def cmd_train(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     data = _load_dataset(args.data)
+    if np.unique(data.labels).size < 2:
+        raise UsageError(f"data file {args.data} must hold examples of at least 2 classes")
     rng = RngStream(args.seed)
     k = int(np.max(data.labels)) + 1
     try:

@@ -2,15 +2,13 @@
 
 Forward differences over Q random directions sharing one base evaluation,
 so each call costs exactly Q + 1 loss evaluations, made in one loss call.
-A run's directions can be drawn ahead of its iterations, on a helper
-thread, by a :class:`DirectionSource`.
+A :class:`DirectionSource` can draw a run's directions ahead of its
+iterations on one executor worker, with a future per block.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,45 +72,35 @@ class DirectionSource:
     blocks that as many ``rng.unit_directions(q, d)`` calls would, bit for
     bit, for up to ``iterations`` calls. A block holds
     ``block_iterations(q, d)`` iterations, at most BLOCK_BYTES unless one
-    iteration is larger; the first block is drawn here. A daemon thread
+    iteration is larger; the first block is drawn here. One executor worker
     draws each later block with one ``rng.unit_directions`` call into a
     ring of two blocks allocated here, while the caller reads the other;
     NumPy's draw and the row norms release the GIL, so the draws overlap
-    the caller's work. The caller re-raises whatever the thread raised
-    when it reaches that block. ``close`` stops and joins the thread; a
-    source of at most one block starts none.
+    the caller's work. Each block's future hands it to the caller, or
+    re-raises what its draw raised when the caller reaches that block.
+    ``close`` stops the worker; a source of at most one block starts none.
     """
 
     def __init__(self, rng: RngStream, q: int, d: int, iterations: int):
-        self._shape = (q, d)
-        block = block_iterations(q, d)
-        rows = q * min(iterations, block)
-        later = iterations - block  # iterations the thread draws
-        ring = np.empty((2 if later > 0 else 1, rows, d))
+        self._rng, self._shape, self._calls_left = rng, (q, d), iterations
+        self._rows = q * block_iterations(q, d)  # of a whole block
+        rows = min(q * iterations, self._rows)
+        self._left = q * iterations - rows  # rows the worker draws
+        ring = np.empty((2 if self._left else 1, rows, d))
         self._block, self._used = rng.unit_directions(rows, d, out=ring[0]), 0
-        self._calls_left = iterations
-        self._free, self._full = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = None
-        if later > 0:
-            self._free.put(ring[1])
-            self._thread = threading.Thread(target=self._draw, args=(rng, later, block),
-                                            name="rge-directions", daemon=True)
-            self._thread.start()
+        self._pool = None
+        if self._left:
+            # imported only when a worker is needed: concurrent.futures loads logging
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rge-directions")
+            self._submit(ring[1])
 
-    def _draw(self, rng: RngStream, left: int, iterations: int) -> None:
-        """The thread: fill each free block with the next ``iterations``
-        iterations' draw until ``left`` are drawn or close() frees None."""
-        q, d = self._shape
-        try:
-            while left > 0:
-                block = self._free.get()
-                if block is None:
-                    return
-                rows = q * min(left, iterations)
-                self._full.put(rng.unit_directions(rows, d, out=block[:rows]))
-                left -= iterations
-        except BaseException as exc:  # handed to the caller, which raises it
-            self._full.put(exc)
+    def _submit(self, free: np.ndarray) -> None:
+        """Have the worker draw the next block, if one is left, into ``free``."""
+        if self._left:
+            out = free[:min(self._left, self._rows)]
+            self._next = self._pool.submit(self._rng.unit_directions, *out.shape, out=out)
+            self._left -= len(out)
 
     def unit_directions(self, n: int, d: int) -> np.ndarray:
         """The next (n, d) directions, with (n, d) the source's (q, d). The
@@ -123,19 +111,16 @@ class DirectionSource:
             raise RuntimeError("the run's directions are spent")
         self._calls_left -= 1
         if self._used == len(self._block):
-            self._free.put(self._block)
-            self._block, self._used = self._full.get(), 0
-            if isinstance(self._block, BaseException):
-                raise self._block
+            free, self._block, self._used = self._block, self._next.result(), 0
+            self._submit(free)
         u = self._block[self._used:self._used + n]
         self._used += n
         return u
 
     def close(self) -> None:
-        """Stop and join the thread. What it raised is raised only by a call
-        that reaches it, so a finished run stays finished and an exception
-        the caller is unwinding is not replaced."""
-        if self._thread is not None:
-            self._free.put(None)
-            self._thread.join()
-            self._thread = None
+        """Stop the worker once its running draw ends. What a draw raised is
+        raised only by a call that reaches its block, so a finished run stays
+        finished and an exception the caller is unwinding is not replaced."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None

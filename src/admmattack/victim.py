@@ -304,4 +304,6 @@ def load_weights(path):
             raise WeightFormatError(f"inconsistent {cls.kind} array shapes: "
                                     f"{[a.shape for a in arrays]}")
         fan_in = w.shape[0]
+    if fan_in < 2 or not all(a.size and np.isfinite(a).all() for a in arrays):
+        raise WeightFormatError("a classifier needs at least 2 classes and nonempty, finite arrays")
     return model

@@ -118,6 +118,14 @@ class TestTrain:
         assert f"for {2 ** 62 + 1} classes" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_a_single_class_data_file_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,0.5,0\n0.2,0.1,0\n")
+        out = tmp_path / "w"
+        assert main(["train", "--data", str(data), "--out", str(out)]) == EXIT_USAGE
+        assert "at least 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_epochs_is_allowed(self, tmp_path):
         assert main(["train", "--epochs", "0", "--out", str(tmp_path / "w")]) == EXIT_OK
 

@@ -1,9 +1,13 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import admmattack
 from admmattack.core import RngStream, row_norms
 from admmattack.grad_est import (
     BLOCK_BYTES,
@@ -288,10 +292,20 @@ def test_close_joins_without_raising_a_helper_fault_that_no_call_reached():
     source = DirectionSource(FailingStream(), 2, 3, 2 * block_iterations(2, 3))
     source.unit_directions(2, 3)
     source.close()
-    assert source._thread is None
+    assert not [t for t in threading.enumerate() if t.name.startswith("rge-directions")]
 
 
 def test_a_source_that_fits_in_one_block_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
     DirectionSource(RngStream(1), 2, 3, block_iterations(2, 3)).close()
     DirectionSource(RngStream(1), 2, 3, 0).close()
+
+
+def test_importing_the_package_loads_no_executor():
+    # concurrent.futures loads logging; only a source that starts a worker
+    # imports it, so an import or a run without one does not pay for it
+    code = ("import sys, admmattack, admmattack.cli\n"
+            "assert 'concurrent.futures' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(Path(admmattack.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

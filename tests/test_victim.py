@@ -321,6 +321,30 @@ class TestSerialization:
         with pytest.raises(WeightFormatError, match="inconsistent"):
             load_weights(path)
 
+    @pytest.mark.parametrize("model", [
+        SoftmaxModel(np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2)),
+        MlpModel(np.ones((4, 2)), np.array([0.0, np.inf, 0.0, 0.0]), np.ones((3, 4)), np.zeros(3)),
+        SoftmaxModel(np.ones((0, 2)), np.zeros(0)),
+        SoftmaxModel(np.ones((1, 2)), np.zeros(1)),
+        SoftmaxModel(np.ones((3, 0)), np.zeros(3)),
+        MlpModel(np.ones((0, 2)), np.zeros(0), np.ones((3, 0)), np.zeros(3)),
+    ], ids=["nan-weight", "inf-bias", "0-class", "1-class", "0-dim-input", "0-hidden"])
+    def test_arrays_no_classifier_can_have_rejected(self, tmp_path, model):
+        path = tmp_path / "m.weights"
+        save_weights(model, path)
+        with pytest.raises(WeightFormatError, match="at least 2 classes and nonempty, finite"):
+            load_weights(path)
+
+    def test_a_nan_weight_is_a_usage_error_before_any_pair_runs(self, tmp_path, capsys):
+        weights = np.zeros((10, 64))
+        weights[3, 5] = np.nan
+        path, out = tmp_path / "m.weights", tmp_path / "reports"
+        save_weights(SoftmaxModel(weights, np.zeros(10)), path)
+        for command in (["attack", "--out", str(out)], ["serve"]):
+            assert main([*command, "--weights", str(path)]) == EXIT_USAGE
+            assert f"malformed weight file {path}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_model_code_rejected(self, tmp_path):
         import struct
 
