@@ -25,7 +25,7 @@ import numpy as np
 from .admm import AdmmConfig, DeltaBackend, run_attack
 from .core import AttackMode, Distortion, ProblemSpec, RngStream, project_box_linf
 from .grad_est import RgeConfig
-from .losses import FeedbackMode, LossConfig, ModelOracle, _goal_met, serve_oracle
+from .losses import FeedbackMode, LossConfig, ModelOracle, _goal_met, hard_label, serve_oracle
 from .victim import (
     Dataset,
     MlpModel,
@@ -180,12 +180,21 @@ def cmd_train(args) -> int:
 # -- attack ---------------------------------------------------------------
 
 
+def _labels(model, inputs, source) -> np.ndarray:
+    """The victim's label of each row; non-finite scores are a usage error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = model.predict_scores(inputs)
+    if not np.isfinite(scores).all():
+        raise UsageError(f"the victim's scores over {source} are not all finite")
+    return hard_label(scores)
+
+
 def _select_pairs(model, data: Dataset, n_pairs: int, untargeted: bool):
     """The first n_pairs deterministic (image index, target) pairs over
     correctly classified inputs; targeted mode cycles each image through
     the other classes."""
     pairs = []
-    for idx in np.flatnonzero(model.predict_label(data.inputs) == data.labels):
+    for idx in np.flatnonzero(_labels(model, data.inputs, data.source) == data.labels):
         if len(pairs) >= n_pairs:
             break
         label = int(data.labels[idx])
@@ -200,29 +209,40 @@ def _find_exemplar(model, data: Dataset, target: int):
     return data.inputs[hits[0]] if hits.size else None
 
 
-def _initial_perturbations(model, data: Dataset, specs) -> list:
-    """Each spec's decision-mode initializer, from one predict_label pass
-    over ``data``: its first example that meets the spec's goal (classified
-    as the target, or untargeted, as any class but the original label t0),
-    minus x0. A second, uncharged pass checks every start that run_attack
-    will verify, so a batch fails before its first pair runs."""
-    labels = model.predict_label(data.inputs)
-    inits = []
-    for spec in specs:
-        hits = np.flatnonzero(_goal_met(labels, spec))
-        if not hits.size:
-            wanted = (f"target class {spec.target}" if spec.attack_mode is AttackMode.TARGETED
-                      else f"a class other than the original label {spec.target}")
-            raise UsageError(f"no exemplar of {wanted} found for decision-mode "
-                             "initialization (see --init-from)")
-        inits.append(data.inputs[hits[0]] - spec.x0)
-    starts = np.array([spec.x0 + project_box_linf(spec.x0, init, spec.epsilon)
-                       for spec, init in zip(specs, inits)]).clip(0.0, 1.0)
-    for pair, (spec, label) in enumerate(zip(specs, model.predict_label(starts))):
-        if not _goal_met(label, spec):
-            raise UsageError(f"pair {pair} (target {spec.target}): the initial perturbed input "
-                             "does not meet the attack goal within --eps (see --init-from)")
-    return inits
+def plan_pairs(model, data: Dataset, n_pairs: int, *, untargeted=False, init_data=None,
+               **spec_settings):
+    """The pairs of _select_pairs as (image index, ProblemSpec with the fields
+    ``spec_settings``, initial perturbation or None). With ``init_data``
+    (decision feedback), a pair starts from the first example there that meets
+    its goal: classified as the target, or untargeted, as any class but t0. An
+    uncharged pass checks every start that run_attack will verify, so a batch
+    fails before its first pair runs."""
+    pairs = _select_pairs(model, data, n_pairs, untargeted)
+    if not pairs:
+        raise UsageError("no correctly classified inputs available for pairing")
+    mode = AttackMode.UNTARGETED if untargeted else AttackMode.TARGETED
+    specs = _valid(lambda: [ProblemSpec(x0=data.inputs[idx], target=target, attack_mode=mode,
+                                        num_classes=model.num_classes, **spec_settings)
+                            for idx, target in pairs])
+    inits = [None] * len(specs)
+    if init_data is not None:
+        labels = _labels(model, init_data.inputs, init_data.source)
+        for pair, spec in enumerate(specs):
+            hits = np.flatnonzero(_goal_met(labels, spec))
+            if not hits.size:
+                wanted = (f"a class other than the original label {spec.target}" if untargeted
+                          else f"target class {spec.target}")
+                raise UsageError(f"no exemplar of {wanted} found for decision-mode "
+                                 "initialization (see --init-from)")
+            inits[pair] = init_data.inputs[hits[0]] - spec.x0
+        starts = np.array([spec.x0 + project_box_linf(spec.x0, init, spec.epsilon)
+                           for spec, init in zip(specs, inits)]).clip(0.0, 1.0)
+        labels = _labels(model, starts, "the initial perturbed inputs")
+        for pair, (spec, label) in enumerate(zip(specs, labels)):
+            if not _goal_met(label, spec):
+                raise UsageError(f"pair {pair} (target {spec.target}): the initial perturbed input "
+                                 "does not meet the attack goal within --eps (see --init-from)")
+    return [(idx, spec, init) for (idx, _), spec, init in zip(pairs, specs, inits)]
 
 
 def _attack_pair(model, spec, init_delta, cfg, loss_cfg, rge_cfg, seed: int, pair: int,
@@ -293,34 +313,17 @@ def cmd_attack(args) -> int:
         if ds.dim != model.dim:
             raise UsageError(f"{name} has {ds.dim} features, the victim takes {model.dim}")
 
-    mode = AttackMode.UNTARGETED if args.untargeted else AttackMode.TARGETED
-    pairs = _select_pairs(model, data, settings["pairs"], args.untargeted)
-    if not pairs:
-        raise UsageError("no correctly classified inputs available for pairing")
-    specs = _valid(lambda: [
-        ProblemSpec(
-            x0=data.inputs[img_idx],
-            target=target,
-            num_classes=model.num_classes,
-            epsilon=settings["eps"],
-            gamma=settings["gamma"],
-            kappa=settings["kappa"],
-            distortion=distortion,
-            beta=settings["beta"],
-            attack_mode=mode,
-        )
-        for img_idx, target in pairs
-    ])
-    init_deltas = [None] * len(specs)
-    if feedback is FeedbackMode.DECISION:
-        init_deltas = _initial_perturbations(model, init_data, specs)
+    plan = plan_pairs(model, data, settings["pairs"], untargeted=args.untargeted,
+                      init_data=init_data if feedback is FeedbackMode.DECISION else None,
+                      epsilon=settings["eps"], gamma=settings["gamma"], kappa=settings["kappa"],
+                      distortion=distortion, beta=settings["beta"])
 
     out_dir = Path(args.out)
     _on_path("create", "output directory", out_dir,
              lambda p: p.mkdir(parents=True, exist_ok=True))
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     rows, n_success = [], 0
-    for pair, (spec, init_delta) in enumerate(zip(specs, init_deltas)):
+    for pair, (_, spec, init_delta) in enumerate(plan):
         text, row, success = _attack_pair(model, spec, init_delta, cfg, loss_cfg, rge_cfg,
                                           args.seed, pair, timestamp)
         # the pairs have run, so a file that cannot be written is a fault
@@ -337,8 +340,8 @@ def cmd_attack(args) -> int:
 
     _on_path("write", "aggregate", out_dir / "aggregate.csv", write_csv, RunFault)
 
-    asr = n_success / len(pairs)
-    print(f"{len(pairs)} pairs, ASR {asr:.1%}, reports in {out_dir}")
+    asr = n_success / len(plan)
+    print(f"{len(plan)} pairs, ASR {asr:.1%}, reports in {out_dir}")
     return EXIT_OK if n_success > 0 else EXIT_NO_SUCCESS
 
 

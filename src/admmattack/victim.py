@@ -124,6 +124,7 @@ _MODELS = (SoftmaxModel, MlpModel)
 class Dataset:
     inputs: np.ndarray  # (n, d) with d >= 1; attacks need them in [0,1]
     labels: np.ndarray  # (n,) int class indices
+    source: str = "the given inputs"  # where the rows came from, for messages
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -161,7 +162,7 @@ class Dataset:
                 labels.append(int(parts[-1]))
         if not rows:
             raise ValueError(f"no samples in {path}")
-        return Dataset(np.array(rows), labels)
+        return Dataset(np.array(rows), labels, str(path))
 
 
 def digits8x8() -> Dataset:
@@ -178,7 +179,7 @@ def digits8x8() -> Dataset:
     inputs = np.concatenate(xs)
     labels = np.concatenate(ys)
     order = rng.child(2).permutation(inputs.shape[0])
-    return Dataset(inputs[order], labels[order])
+    return Dataset(inputs[order], labels[order], "digits8x8")
 
 
 # -- training ----------------------------------------------------------

@@ -21,12 +21,16 @@ from admmattack.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     SETTINGS,
+    _find_exemplar,
+    _select_pairs,
     build_parser,
     main,
+    plan_pairs,
     summarize_reports,
 )
 from admmattack.losses import ModelOracle
-from admmattack.victim import digits8x8, load_weights
+from admmattack.core import Distortion
+from admmattack.victim import SoftmaxModel, digits8x8, load_weights, save_weights
 
 
 def sha256(path):
@@ -493,6 +497,30 @@ class TestAttack:
         assert not list(out.glob("pair_*.json"))
         assert not (out / "aggregate.csv").exists()
 
+    @pytest.mark.parametrize("feedback, bad_flag", [("score", "--data"), ("decision", "--data"),
+                                                    ("decision", "--init-from")])
+    def test_a_victim_with_non_finite_scores_is_a_usage_error_naming_the_file(
+            self, tmp_path, capsys, feedback, bad_flag):
+        # finite weights whose logits overflow where features 0 and 1 sum past 1.8
+        w = np.zeros((10, 64))
+        w[0, :2], w[1, :2] = 1e308, -1e308
+        weights = tmp_path / "overflow.weights"
+        save_weights(SoftmaxModel(w, np.zeros(10)), weights)
+        files = {}
+        for name, head in (("finite", 0.1), ("overflow", 1.0)):
+            files[name] = tmp_path / f"{name}.csv"
+            files[name].write_text(",".join(map(repr, [head] * 2 + [0.5] * 62)) + ",0\n")
+        given = {"--data": files["finite"], bad_flag: files["overflow"]}
+        inputs = [str(arg) for flag_and_file in given.items() for arg in flag_and_file]
+        out = tmp_path / "r"
+        code = main(["attack", "--weights", str(weights), "--feedback", feedback,
+                     "--pairs", "2", "--budget", "200", "--out", str(out), *inputs])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"the victim's scores over {files['overflow']} are not all finite" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
 
 class TestReport:
     def make_reports(self, tmp_path, summaries):
@@ -706,3 +734,21 @@ def test_bo_batch_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, trained
         assert proc.returncode in (EXIT_OK, EXIT_NO_SUCCESS), proc.stderr
         csvs.append((out / "aggregate.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("pool, decision", [(25, False), (20, True), (3, False)],
+                         ids=["zo-score", "zo-decision", "bo-score"])
+def test_the_plan_is_the_benchmark_pool(softmax_victim, digits, pool, decision):
+    # perfbench builds each workload's pool from _select_pairs and _find_exemplar
+    plan = plan_pairs(softmax_victim, digits, pool, init_data=digits if decision else None,
+                      epsilon=1.0, gamma=1.0, distortion=Distortion.L2)
+    chosen = _select_pairs(softmax_victim, digits, pool, untargeted=False)
+    assert [(image, spec.target) for image, spec, _ in plan] == chosen
+    for (image, spec, init), (_, target) in zip(plan, chosen):
+        x0 = digits.inputs[image]
+        assert spec.x0.tobytes() == x0.tobytes()
+        if decision:
+            assert init.tobytes() == (_find_exemplar(softmax_victim, digits, target)
+                                      - x0).tobytes()
+        else:
+            assert init is None

@@ -1,14 +1,15 @@
 """Same attack, byte for byte: python3 tools/same_attack.py BASE HEAD
 
 BASE and HEAD are repository roots, and each tree runs the admmattack in its own src/.
-In a temporary directory, each tree writes ard.csv, trains three victims with seed 0
-and runs every batch in BATCHES at one BLAS thread. An attack that exits 1 (no pair
-succeeded) is still a result; any other failure stops the script, naming the tree, the
-command and the tail of its stderr. Both trees must then hold the same files with the
-same bytes, or the script names each one that differs and exits 1: the weight files,
-their .json sidecars and ard.csv, so that a change to training, the weight format or
-the RNG shows; every aggregate.csv; and every pair report but its "timestamp" line, as
-at these budgets a decision batch's final norms can hide a change in its trajectory.
+In a temporary directory, each tree writes ard.csv and init.csv, trains three victims
+with seed 0 and runs every batch in BATCHES at one BLAS thread. An attack that exits 1
+(no pair succeeded) is still a result; any other failure stops the script, naming the
+tree, the command and the tail of its stderr. Both trees must then hold the same files
+with the same bytes, or the script names each one that differs and exits 1: the weight
+files, their .json sidecars, ard.csv and init.csv, so that a change to training, the
+weight format or the RNG shows; every aggregate.csv; and every pair report but its
+"timestamp" line, as at these budgets a decision batch's final norms can hide a change
+in its trajectory.
 """
 
 import os
@@ -40,7 +41,9 @@ from pathlib import Path
 # mu = 1 and N = 10, except zo-untargeted-decision: an untargeted ZO decision run with
 # mu = 0.5 and N = 3, so that the smoothing stack's sizes and scale differ. Every other
 # batch runs rho, alpha, q, nu, gamma and eps at their defaults; score-settings sets all
-# six, so that the configs that check them are built with other values too.
+# six, so that the configs that check them are built with other values too. Every other
+# decision batch takes its initializers from its --data rows; decision-init-from takes
+# them from init.csv, the digits in reverse row order, so its exemplars differ.
 BATCHES = [  # name, victim, attack flags
     ("score", "softmax", "--feedback score --budget 2000 --pairs 8 --seed 1"),
     ("decision", "softmax", "--feedback decision --budget 2000 --pairs 5 --seed 108"),
@@ -69,16 +72,21 @@ BATCHES = [  # name, victim, attack flags
      "--n-smooth 3 --budget 2000 --pairs 3 --seed 41"),
     ("score-settings", "softmax", "--rho 3 --alpha 0.5 --q 8 --nu 0.3 --gamma 0.5 --eps 0.5 "
      "--budget 2000 --pairs 3 --seed 51"),
+    ("decision-init-from", "softmax",
+     "--feedback decision --init-from init.csv --budget 2000 --pairs 3 --seed 61"),
 ]
 
 # names the admmattack it imported, then writes the first 8 features of the digits
+# and all the digits in reverse row order
 WRITE_ARD = """import admmattack
 from admmattack.victim import digits8x8
 print(admmattack.__file__)
 data = digits8x8()
-with open("ard.csv", "w") as fh:
-    for x, y in zip(data.inputs[:, :8], data.labels):
-        fh.write(",".join(map(repr, x.tolist())) + f",{y}\\n")
+for name, inputs, labels in (("ard.csv", data.inputs[:, :8], data.labels),
+                             ("init.csv", data.inputs[::-1], data.labels[::-1])):
+    with open(name, "w") as fh:
+        for x, y in zip(inputs, labels):
+            fh.write(",".join(map(repr, x.tolist())) + f",{y}\\n")
 """
 
 TRAIN = {"softmax": [], "mlp": ["--model", "mlp", "--epochs", "5"], "ard": ["--data", "ard.csv"]}
