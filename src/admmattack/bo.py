@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, as_vector, check_fields, feasible_bounds
-from .gp import GpFactorizationError, GpModel
+from .gp import GpModel
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,8 @@ class BoDeltaSolver:
         model = GpModel(dim=self.x0.shape[0])
         for _ in range(cfg.max_bo_iters):
             model.set_data(self._X, self._targets(b, rho))
-            # A fit needs two observations; a covariance that stays non-PD
-            # keeps the current hyperparameters.
-            if model.n >= 2:
-                try:
-                    model.fit_hypers(cfg.fit_steps, cfg.fit_learning_rate)
-                except GpFactorizationError:
-                    pass
+            if model.n >= 2:  # a fit needs two observations
+                model.fit_hypers(cfg.fit_steps, cfg.fit_learning_rate)
             cand, ei = self._maximize_ei(model, float(np.min(model.targets)), rng)
             if ei <= 0.0:  # also when no start had a finite EI
                 cand = self._sample(1, rng)[0]

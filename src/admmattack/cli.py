@@ -319,6 +319,11 @@ def cmd_attack(args) -> int:
                       distortion=distortion, beta=settings["beta"])
 
     out_dir = Path(args.out)
+    held = [p for p in sorted(out_dir.glob("pair_*.json")) + [out_dir / "aggregate.csv"]
+            if p.is_file()]
+    if held:  # a second batch would leave the first one's extra pair reports
+        raise UsageError(f"output directory {out_dir} already holds a batch ({held[0].name}); "
+                         "write each batch to a new --out")
     _on_path("create", "output directory", out_dir,
              lambda p: p.mkdir(parents=True, exist_ok=True))
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")

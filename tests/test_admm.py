@@ -53,6 +53,20 @@ class TestDeltaZoStep:
         np.testing.assert_allclose(out, state.delta, atol=1e-15)
         assert base == 42.0
 
+    def test_an_iteration_index_below_one_is_rejected(self):
+        state = AttackState(delta=np.zeros(2), z=np.zeros(2), u=np.zeros(2), k=0)
+        with pytest.raises(ValueError, match="iteration index must start at 1"):
+            delta_zo_step(state, AdmmConfig(), RgeConfig(q=2, nu=0.1),
+                          lambda V: np.zeros(len(V)), RngStream(0))
+
+    def test_a_gradient_estimate_that_overflows_is_rejected(self):
+        # finite loss values whose differences overflow float64
+        state = AttackState(delta=np.zeros(2), z=np.zeros(2), u=np.zeros(2), k=1)
+        loss = lambda V: np.r_[-1e308, np.full(len(V) - 1, 1e308)]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite gradient estimate"):
+            delta_zo_step(state, AdmmConfig(), RgeConfig(q=2, nu=0.1), loss, RngStream(0))
+
     def test_matches_closed_form_example(self):
         # eta=1, rho=1, delta=0, b=(2,2), g=(1,1) -> (0.5, 0.5)
         out = quadratic_analytic_min(1.0, 1.0, np.zeros(2), np.full(2, 2.0), np.ones(2))

@@ -23,7 +23,7 @@ from admmattack.bo import (
     expected_improvement,
 )
 from admmattack.core import RngStream, box_feasible, project_box_linf
-from admmattack.gp import GpHyper, GpModel
+from admmattack.gp import GpFactorizationError, GpHyper, GpModel
 
 
 def mc_expected_improvement(mu, sigma, l_plus, n=10**7, seed=0):
@@ -410,6 +410,53 @@ class TestBoDeltaSolver:
         with pytest.raises(RuntimeError, match="broken fit"):
             solver.step(b=np.zeros(2), rho=1.0, f_loss=lambda D: np.zeros(len(D)),
                         rng=RngStream(31))
+
+    def test_a_covariance_that_cannot_be_factored_stops_the_step_in_the_fit(
+            self, monkeypatch):
+        # the EI ascent would factor the same data under the same hyper, so
+        # the fit's failure ends the step before the EI-restart draw
+        calls, rows = [], []
+
+        def singular(S):
+            calls.append(1)
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        cfg = BoConfig(init_samples=3, max_bo_iters=2)
+        solver = BoDeltaSolver(np.full(2, 0.5), 1.0, cfg)
+        rng = RngStream(37)
+        with pytest.raises(GpFactorizationError) as failure:
+            solver.step(b=np.zeros(2), rho=1.0,
+                        f_loss=lambda D: rows.append(len(D)) or np.sum(D ** 2, axis=1), rng=rng)
+        assert str(failure.value) == "covariance not positive definite after jitter escalation"
+        names = [entry.name for entry in failure.traceback]
+        assert "fit_hypers" in names and "_maximize_ei" not in names
+        assert len(calls) == 8  # one factorization: no jitter, then the 7 rungs
+        assert rows == [cfg.init_samples]
+        replay = RngStream(37)
+        solver._sample(cfg.init_samples, replay)
+        assert rng.uniform(size=4).tobytes() == replay.uniform(size=4).tobytes()
+
+    def test_no_improvement_queries_the_fallback_draw(self, monkeypatch):
+        # the documented draw order: init samples, the EI restarts, then one
+        # fallback point when EI finds no improvement
+        monkeypatch.setattr(bo, "expected_improvement", lambda mu, sigma, l_plus: np.zeros(len(mu)))
+        queried = []
+
+        def f_loss(D):
+            queried.append(D.copy())
+            return np.sum((D - 0.2) ** 2, axis=1)
+
+        cfg = BoConfig(init_samples=4, ei_restarts=3, max_bo_iters=1)
+        solver = BoDeltaSolver(np.array([0.05, 0.5, 0.97]), 0.3, cfg)
+        solver.step(b=np.zeros(3), rho=1.0, f_loss=f_loss, rng=RngStream(38))
+        replay = RngStream(38)
+        init = replay.uniform(solver.lo, solver.hi, (cfg.init_samples, 3))
+        replay.uniform(solver.lo, solver.hi, (cfg.ei_restarts - 1, 3))
+        fallback = replay.uniform(solver.lo, solver.hi, (1, 3))
+        assert len(queried) == 2
+        assert queried[0].tobytes() == init.tobytes()
+        assert queried[1].tobytes() == fallback.tobytes()
 
     def test_best_f_tracks_minimum_raw_value(self):
         solver = BoDeltaSolver(np.array([0.5]), 1.0, BoConfig())

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import struct
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from admmattack.cli import (
 )
 from admmattack.losses import ModelOracle
 from admmattack.core import Distortion
-from admmattack.victim import SoftmaxModel, digits8x8, load_weights, save_weights
+from admmattack.victim import Dataset, SoftmaxModel, digits8x8, load_weights, save_weights
 
 
 def sha256(path):
@@ -164,6 +165,32 @@ class TestAttack:
               "--pairs", "3", "--budget", "3000", "--seed", "8"])
         assert sha256(out1 / "aggregate.csv") != sha256(out2 / "aggregate.csv")
 
+    def test_an_out_that_holds_a_batch_is_refused(self, tmp_path, trained_weights, capsys,
+                                                  monkeypatch):
+        # a second batch into the same --out would leave pair_0002.json and
+        # pair_0003.json of the first, and report would count them
+        out = tmp_path / "run"
+        args = ["attack", "--weights", str(trained_weights), "--budget", "400", "--out", str(out)]
+        assert main(args + ["--pairs", "4", "--seed", "1"]) in (EXIT_OK, EXIT_NO_SUCCESS)
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(first) == 5
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_attack_pair", lambda *a: pytest.fail("a pair ran"))
+        assert main(args + ["--pairs", "2", "--seed", "2", "--norm", "l1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"output directory {out} already holds a batch (pair_0000.json)" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_an_out_that_holds_an_aggregate_csv_is_refused(self, tmp_path, trained_weights,
+                                                           capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "aggregate.csv").write_text("kept\n")
+        assert run_attack(out, trained_weights) == EXIT_USAGE
+        assert "(aggregate.csv)" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["aggregate.csv"]
+        assert (out / "aggregate.csv").read_text() == "kept\n"
+
     def test_config_file_and_flag_precedence(self, tmp_path, trained_weights):
         cfg = tmp_path / "attack.cfg"
         cfg.write_text("budget = 1234  # tight\ngamma = 0.5\n")
@@ -225,6 +252,23 @@ class TestAttack:
         settings = cli._resolve_settings(args)
         assert settings == {**SETTINGS, "q": 3, "eps": 2.0, "norm": "l1", "n_smooth": 4}
         assert [type(v) for v in settings.values()] == [type(v) for v in SETTINGS.values()]
+
+    def test_blank_and_comment_config_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "commented.cfg"
+        cfg.write_text("# a batch\n\n   \nq = 3  # directions\n# eps = 2\n")
+        args = build_parser().parse_args(["attack", "--weights", "w", "--config", str(cfg)])
+        assert cli._resolve_settings(args) == {**SETTINGS, "q": 3}
+
+    @pytest.mark.parametrize("flag", ["--data", "--init-from"])
+    def test_a_dataset_of_another_width_is_usage_error_naming_the_flag(
+            self, tmp_path, trained_weights, capsys, flag):
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("0.5,0.25,0.75,1\n0,1,0.5,0\n")
+        out = tmp_path / "r"
+        extra = [flag, str(narrow)] + (["--feedback", "decision"] if flag == "--init-from" else [])
+        assert run_attack(out, trained_weights, *extra) == EXIT_USAGE
+        assert f"{flag} has 3 features, the victim takes 64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_each_setting_is_an_attack_flag_and_there_is_no_preset(self, tmp_path,
                                                                    trained_weights, capsys):
@@ -752,3 +796,31 @@ def test_the_plan_is_the_benchmark_pool(softmax_victim, digits, pool, decision):
                                       - x0).tobytes()
         else:
             assert init is None
+
+
+def test_a_batch_with_no_correctly_classified_input_is_a_usage_error():
+    model = SoftmaxModel(np.zeros((2, 3)), np.array([1.0, 0.0]))  # every input is class 0
+    data = Dataset(np.full((4, 3), 0.5), np.ones(4, dtype=np.int64))
+    with pytest.raises(cli.UsageError, match="no correctly classified inputs"):
+        plan_pairs(model, data, 2, epsilon=1.0)
+
+
+def test_pinning_skips_a_bundled_blas_that_cannot_be_loaded(monkeypatch):
+    tried = []
+
+    def cannot_load(path):
+        tried.append(path)
+        raise OSError("cannot load")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cannot_load)
+    cli._pin_blas_threads()
+    if not tried:
+        pytest.skip("this NumPy bundles no OpenBLAS")
+
+
+def test_python_m_admmattack_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["admmattack", "--help"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("admmattack", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: admmattack")

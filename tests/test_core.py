@@ -9,6 +9,7 @@ from admmattack.core import (
     Distortion,
     ProblemSpec,
     RngStream,
+    as_vector,
     box_feasible,
     distortion_value,
     feasible_bounds,
@@ -129,6 +130,16 @@ class TestDistortionValue:
     def test_elastic(self):
         v = np.array([2.0])
         assert distortion_value(v, Distortion.ELASTIC, beta=1.0) == pytest.approx(4.0)
+
+    def test_a_value_that_is_no_distortion_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown distortion l2"):
+            distortion_value(np.array([3.0, 4.0]), "l2")
+
+
+@pytest.mark.parametrize("v", [np.zeros((2, 2)), np.zeros((1, 3, 1))])
+def test_as_vector_takes_only_one_dimensional_input(v):
+    with pytest.raises(ValueError, match="expected a 1-D vector"):
+        as_vector(v)
 
 
 class TestRngStream:

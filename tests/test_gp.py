@@ -594,3 +594,64 @@ class TestFitStopsAtItsFixedPoint:
         monkeypatch.setattr(GpModel, "nlml_grad", lambda self: calls.append(1) or grad(self))
         fit_model(case).fit_hypers(80, 0.1)
         assert len(calls) == first_repeat + 1
+
+
+class TestFactorizationFailures:
+    """The jitter rungs and the fit's backtrack on a trial that cannot be
+    factored, which BO's runs never reach."""
+
+    def counted_cholesky(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda S: calls.append(S) or cholesky(S))
+        return calls
+
+    def test_a_slightly_negative_eigenvalue_factors_at_the_first_rung(self, monkeypatch):
+        S = np.array([[1.0, 1.0], [1.0, 1.0 - 2e-12]])
+        assert np.linalg.eigvalsh(S)[0] == pytest.approx(-1e-12, rel=1e-3)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+        calls = self.counted_cholesky(monkeypatch)
+        L = GpModel._chol_with_jitter(S)
+        assert len(calls) == 2
+        assert same_bits(L, np.linalg.cholesky(S + gp.JITTER_START * np.eye(2)))
+
+    def test_an_indefinite_matrix_uses_up_every_rung(self, monkeypatch):
+        S = np.diag([1.0, -1.0])
+        calls = self.counted_cholesky(monkeypatch)
+        with pytest.raises(gp.GpFactorizationError, match="after jitter escalation"):
+            GpModel._chol_with_jitter(S)
+        # no jitter, then 1e-10, 1e-9, ..., 1e-4
+        assert len(calls) == 8
+        assert calls[-1][0, 0] - 1.0 == pytest.approx(gp.JITTER_MAX, rel=1e-9)
+
+    def test_a_trial_that_cannot_be_factored_halves_the_rate(self, monkeypatch):
+        rng = RngStream(12)
+        model = GpModel(2)
+        model.set_data(rng.uniform(-1, 1, (8, 2)), rng.standard_normal(8))
+        p, g = model._log_params(), model.nlml_grad()  # the fit's first gradient, cached
+        lr = 0.1
+        trials = []
+        factor_for = GpModel._factor_for
+
+        def first_trial_fails(self, hyper):
+            trials.append(hyper)
+            if len(trials) == 1:
+                raise gp.GpFactorizationError("injected")
+            return factor_for(self, hyper)
+
+        monkeypatch.setattr(GpModel, "_factor_for", first_trial_fails)
+        model.fit_hypers(1, lr)
+        assert len(trials) >= 2
+        assert ref.same_hyper(trials[0], model._hyper_from_log(p - lr * g))
+        assert ref.same_hyper(trials[1], model._hyper_from_log(p - (lr / 2) * g))
+
+
+@pytest.mark.parametrize("X, y", [
+    (np.zeros((3, 2)), np.zeros(2)),  # fewer targets than rows
+    (np.zeros((3, 3)), np.zeros(3)),  # rows of another dimension
+    (np.zeros(2), np.zeros(1)),       # one point, not a stack
+], ids=["targets", "dimension", "point"])
+def test_observations_of_bad_shapes_are_rejected(X, y):
+    with pytest.raises(ValueError, match="bad observation shapes"):
+        GpModel(2).set_data(X, y)

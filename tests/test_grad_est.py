@@ -88,6 +88,12 @@ def test_non_finite_loss_raises():
         rge_with_base(loss, np.zeros(2), RgeConfig(q=2, nu=0.1), RngStream(6))
 
 
+def test_a_non_finite_loss_at_a_perturbed_point_raises():
+    loss = lambda V: np.r_[0.0, np.nan, np.zeros(len(V) - 2)]
+    with pytest.raises(ValueError, match="non-finite loss value at a perturbed point"):
+        rge_with_base(loss, np.zeros(2), RgeConfig(q=2, nu=0.1), RngStream(6))
+
+
 def unit_sphere(rng, d):
     """One standard_normal(d) draw scaled to unit norm, redrawn while zero."""
     g = rng.standard_normal(d)
@@ -301,11 +307,22 @@ def test_a_source_that_fits_in_one_block_starts_no_thread(monkeypatch):
     DirectionSource(RngStream(1), 2, 3, 0).close()
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+def test_a_source_draws_only_its_own_shape(shape):
+    source = DirectionSource(RngStream(1), 2, 3, 4)
+    with pytest.raises(ValueError, match=r"this source draws \(2, 3\) blocks"):
+        source.unit_directions(*shape)
+    source.close()
+
+
 def test_importing_the_package_loads_no_executor():
     # concurrent.futures loads logging; only a source that starts a worker
-    # imports it, so an import or a run without one does not pay for it
+    # imports it, so an import or a run without one does not pay for it.
+    # Nor does the package load multiprocessing or SciPy: each adds start-up
+    # time and resident memory to every CLI call
     code = ("import sys, admmattack, admmattack.cli\n"
-            "assert 'concurrent.futures' not in sys.modules")
+            "heavy = {'concurrent.futures', 'logging', 'multiprocessing', 'scipy'}\n"
+            "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(admmattack.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

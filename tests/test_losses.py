@@ -362,6 +362,18 @@ class TestProcessOracle:
             np.testing.assert_allclose(oracle.query_scores(x), self.model.predict_scores(x))
             assert oracle.queries_used == 1
 
+    def test_a_label_from_a_scores_server_is_the_top_score(self, tmp_path):
+        with spawned(serve_argv(self.model, tmp_path, "scores"), "scores") as oracle:
+            X = np.array([[0.9, 0.1], [0.1, 0.9]])
+            labels = oracle.query_label(X)
+            assert labels.tolist() == self.model.predict_label(X).tolist() == [1, 0]
+            assert oracle.queries_used == 2
+
+    def test_a_mode_other_than_scores_or_label_is_rejected(self):
+        # no child is started: the argv names no program
+        with pytest.raises(ValueError, match="mode must be 'scores' or 'label'"):
+            ProcessOracle(["no-such-oracle-program"], mode="labels")
+
     def test_label_mode(self, tmp_path):
         with spawned(serve_argv(self.model, tmp_path, "label"), "label") as oracle:
             x = np.array([0.9, 0.1])
@@ -589,3 +601,8 @@ class TestReplyChecks:
             with pytest.raises(OracleReplyError, match="K >= 2"):
                 oracle.query_scores(np.array([0.9, 0.1]))
             assert oracle.queries_used == 0
+
+
+def test_an_oracle_without_a_victim_has_no_scores():
+    with pytest.raises(NotImplementedError):
+        QueryOracle().query_scores(np.zeros(2))

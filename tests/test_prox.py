@@ -192,3 +192,8 @@ def test_settings_out_of_range_are_rejected(eps, gamma, rho, beta):
     """Unchecked, each of these settings gives a NaN or infeasible z."""
     with pytest.raises(ValueError):
         make_input(0.1, 0.5, eps, gamma, rho, Distortion.ELASTIC, beta)
+
+
+def test_a_and_x0_of_different_lengths_are_rejected():
+    with pytest.raises(ValueError, match="a and x0 must have the same length"):
+        ZStepInput(a=np.zeros(3), x0=np.full(2, 0.5), epsilon=1.0, gamma=1.0, rho=1.0)

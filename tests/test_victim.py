@@ -149,6 +149,20 @@ class TestDataset:
         np.testing.assert_array_equal(back.inputs, data.inputs)
         np.testing.assert_array_equal(back.labels, data.labels)
 
+    def test_blank_csv_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\n0.5,0.25,1\n  \n0.75,0,0\n\n")
+        back = Dataset.from_csv(path)
+        assert back.inputs.tolist() == [[0.5, 0.25], [0.75, 0.0]]
+        assert back.labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
+    def test_a_csv_without_rows_is_rejected_naming_it(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"no samples in {path}"):
+            Dataset.from_csv(path)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
@@ -344,6 +358,14 @@ class TestSerialization:
             assert main([*command, "--weights", str(path)]) == EXIT_USAGE
             assert f"malformed weight file {path}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_array_count_the_model_does_not_take_is_rejected(self, tmp_path):
+        model = SoftmaxModel(np.ones((2, 3)), np.zeros(2))
+        model.arrays = lambda: [model.weights, model.biases, model.biases]  # one too many
+        path = tmp_path / "m.weights"
+        save_weights(model, path)
+        with pytest.raises(WeightFormatError, match="array count mismatch for softmax"):
+            load_weights(path)
 
     def test_unknown_model_code_rejected(self, tmp_path):
         import struct
