@@ -30,7 +30,6 @@ from .victim import (
     Dataset,
     MlpModel,
     SoftmaxModel,
-    WeightFormatError,
     accuracy,
     digits8x8,
     load_weights,
@@ -84,16 +83,25 @@ def _on_path(verb: str, what: str, path, op, error=UsageError):
         raise error(f"cannot {verb} {what} {path}: {exc.strerror or exc}") from None
 
 
+def _read(what: str, path, parse):
+    """parse(path), with a fault of reading an input file (an OSError) or of
+    parsing it (a ValueError, say of UTF-8, JSON or the weight format, or the
+    RecursionError of deep nesting) as a usage error that names the file."""
+    try:
+        return _on_path("read", what, path, parse)
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"malformed {what} {path}: {exc}") from None
+
+
 def _parse_config_file(path: str) -> dict:
-    """Simple ``key = value`` text config; '#' starts a comment."""
+    """Simple ``key = value`` text config; '#' starts a comment; a bad line is a ValueError."""
     values = {}
-    text = _on_path("read", "config file", path, lambda p: Path(p).read_text())
-    for raw in text.splitlines():
+    for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"bad config line (expected key = value): {raw!r}")
+            raise ValueError(f"bad config line (expected key = value): {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_")] = val
     return values
@@ -106,7 +114,7 @@ def _resolve_settings(args) -> dict:
     """
     settings = dict(SETTINGS)
     if args.config:
-        for key, val in _parse_config_file(args.config).items():
+        for key, val in _read("config file", args.config, _parse_config_file).items():
             if key not in settings:
                 raise UsageError(f"unknown config key {key!r} in {args.config}; "
                                  f"choices: {sorted(settings)}")
@@ -123,19 +131,7 @@ def _resolve_settings(args) -> dict:
 
 
 def _load_dataset(name: str) -> Dataset:
-    if name == "digits8x8":
-        return digits8x8()
-    try:
-        return _on_path("read", "data file", name, Dataset.from_csv)
-    except ValueError as exc:
-        raise UsageError(f"malformed data file {name}: {exc}") from None
-
-
-def _load_weights(path):
-    try:
-        return _on_path("read", "weight file", path, load_weights)
-    except WeightFormatError as exc:
-        raise UsageError(f"malformed weight file {path}: {exc}") from None
+    return digits8x8() if name == "digits8x8" else _read("data file", name, Dataset.from_csv)
 
 
 def _valid(build):
@@ -304,7 +300,7 @@ def cmd_attack(args) -> int:
     ))
     rge_cfg = _valid(lambda: RgeConfig(q=settings["q"], nu=settings["nu"]))
 
-    model = _load_weights(args.weights)
+    model = _read("weight file", args.weights, load_weights)
     data = _load_dataset(args.data)
     if not np.all((data.inputs >= 0.0) & (data.inputs <= 1.0)):
         raise UsageError(f"malformed data file {args.data}: an attack input lies outside [0, 1]")
@@ -371,11 +367,10 @@ def cmd_report(args) -> int:
         raise UsageError(f"no report files found in {args.dir}")
     docs = []
     for path in paths:
-        raw = _on_path("read", "report", path, Path.read_bytes)
+        doc = _read("report", path, lambda p: json.loads(p.read_bytes()))
         try:
-            doc = json.loads(raw)
             summarize_reports([doc])  # a well-formed report summarizes on its own
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise UsageError(f"malformed report {path}: {type(exc).__name__}: {exc}")
         docs.append(doc)
     summary = summarize_reports(docs)
@@ -393,7 +388,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    model = _load_weights(args.weights)
+    model = _read("weight file", args.weights, load_weights)
     try:
         serve_oracle(model, mode=args.mode)
     except (ValueError, EOFError) as exc:

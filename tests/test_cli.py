@@ -234,6 +234,17 @@ class TestAttack:
         assert "unknown norm 'l3'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_config_file_that_is_not_utf8_is_usage_error_naming_it(self, tmp_path,
+                                                                      trained_weights, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"\xff\xfe = 3\n")
+        out = tmp_path / "r"
+        code = main(["attack", "--weights", str(trained_weights),
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert f"malformed config file {cfg}: 'utf-8' codec" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, trained_weights,
                                                        capsys):
         cfg = tmp_path / "float_q.cfg"
@@ -631,6 +642,22 @@ class TestReport:
         err = capsys.readouterr().err
         assert "malformed report" in err and "pair_0001.json" in err
 
+    @pytest.mark.parametrize("text, says", [
+        ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+        ('{"pair": ' + "9" * 5000 + "}", "Exceeds the limit"),
+        (json.dumps({"summary": {"success": False, "queries_first_success": None, "l0": 0,
+                                 "l1": 0.0, "l2": 0.0, "linf": 0.0,
+                                 "total_queries": 10 ** 399}}),
+         "OverflowError: int too large to convert to float"),
+    ], ids=["nested-past-the-recursion-limit", "5000-digit-pair", "400-digit-total-queries"])
+    def test_a_report_python_cannot_decode_or_average_is_usage_error(self, tmp_path, capsys,
+                                                                      text, says):
+        self.make_reports(tmp_path, [self.summary(True, 100, 2.0, 150)])
+        (tmp_path / "pair_0001.json").write_text(text)
+        assert main(["report", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"malformed report {tmp_path / 'pair_0001.json'}: " in err and says in err
+
     def test_summarize_empty(self):
         out = summarize_reports([])
         assert out["runs"] == 0
@@ -732,6 +759,20 @@ class TestUsage:
         monkeypatch.setattr(cli, "summarize_reports", broken)
         assert main(["report", str(tmp_path)]) == EXIT_INTERNAL
         assert "internal error: ValueError: not a usage error" in capsys.readouterr().err
+
+    def test_a_type_error_from_a_file_parser_is_an_internal_error(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # only a read fault or a ValueError or RecursionError of the parser
+        # means a bad input file
+        weights = tmp_path / "victim.weights"
+        weights.write_bytes(b"")
+
+        def broken(path):
+            raise TypeError("not a bad input file")
+
+        monkeypatch.setattr(cli, "load_weights", broken)
+        assert main(["serve", "--weights", str(weights)]) == EXIT_INTERNAL
+        assert "internal error: TypeError: not a bad input file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "attack"])
     def test_a_negative_seed_is_usage_error(self, tmp_path, trained_weights, capsys, command):

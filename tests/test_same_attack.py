@@ -38,6 +38,15 @@ def test_a_changed_init_scale_names_the_weight_file(trees, capsys):
     assert "differs: weights/softmax.weights" in capsys.readouterr().out.splitlines()
 
 
+def test_a_changed_report_format_names_the_report_tsv(trees, capsys):
+    cli = trees[1] / "src" / "admmattack" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"-" if v is None') == 1  # the tiny batch's pair does not succeed
+    cli.write_text(text.replace('"-" if v is None', '"NA" if v is None'))
+    assert same_attack.main([str(root) for root in trees]) == 1
+    assert capsys.readouterr().out.splitlines() == ["differs: score/report.tsv"]
+
+
 def test_a_tree_without_the_library_is_named(tmp_path):
     with pytest.raises(SystemExit) as stop:
         same_attack.run_tree(tmp_path / "nothing", tmp_path / "out")

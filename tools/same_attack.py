@@ -2,14 +2,15 @@
 
 BASE and HEAD are repository roots, and each tree runs the admmattack in its own src/.
 In a temporary directory, each tree writes ard.csv and init.csv, trains three victims
-with seed 0 and runs every batch in BATCHES at one BLAS thread. An attack that exits 1
-(no pair succeeded) is still a result; any other failure stops the script, naming the
-tree, the command and the tail of its stderr. Both trees must then hold the same files
-with the same bytes, or the script names each one that differs and exits 1: the weight
-files, their .json sidecars, ard.csv and init.csv, so that a change to training, the
-weight format or the RNG shows; every aggregate.csv; and every pair report but its
-"timestamp" line, as at these budgets a decision batch's final norms can hide a change
-in its trajectory.
+with seed 0 and runs every batch in BATCHES at one BLAS thread, then `admmattack
+report` on the batch's directory, whose stdout it writes to report.tsv there. An attack
+that exits 1 (no pair succeeded) is still a result; any other failure stops the script,
+naming the tree, the command and the tail of its stderr. Both trees must then hold the
+same files with the same bytes, or the script names each one that differs and exits 1:
+the weight files, their .json sidecars, ard.csv and init.csv, so that a change to
+training, the weight format or the RNG shows; every aggregate.csv and report.tsv; and
+every pair report but its "timestamp" line, as at these budgets a decision batch's final
+norms can hide a change in its trajectory.
 """
 
 import os
@@ -43,7 +44,9 @@ from pathlib import Path
 # batch runs rho, alpha, q, nu, gamma and eps at their defaults; score-settings sets all
 # six, so that the configs that check them are built with other values too. Every other
 # decision batch takes its initializers from its --data rows; decision-init-from takes
-# them from init.csv, the digits in reverse row order, so its exemplars differ.
+# them from init.csv, the digits in reverse row order, so its exemplars differ. Each
+# batch's report.tsv is `report`'s summary of its pair reports, so that the comparison
+# covers how `report` reads and averages them.
 BATCHES = [  # name, victim, attack flags
     ("score", "softmax", "--feedback score --budget 2000 --pairs 8 --seed 1"),
     ("decision", "softmax", "--feedback decision --budget 2000 --pairs 5 --seed 108"),
@@ -93,7 +96,8 @@ TRAIN = {"softmax": [], "mlp": ["--model", "mlp", "--epochs", "5"], "ard": ["--d
 
 
 def run_tree(root: Path, out: Path) -> None:
-    """Victims into out/weights and each batch's reports into out/<name>, with root/src."""
+    """Victims into out/weights and each batch's reports and report.tsv into out/<name>,
+    with root/src."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     weights = out / "weights"
     weights.mkdir(parents=True)
@@ -113,6 +117,8 @@ def run_tree(root: Path, out: Path) -> None:
     for name, victim, flags in BATCHES:
         run(["-m", "admmattack.cli", "attack", "--weights", f"{victim}.weights", *flags.split(),
              "--out", str(out / name)], accept=(0, 1))
+        (out / name / "report.tsv").write_text(run(["-m", "admmattack.cli", "report",
+                                                    str(out / name)]))
 
 
 def outputs(out: Path) -> dict:
