@@ -329,7 +329,7 @@ def run_attack(
     # whose unit_ball loop holds the GIL that the thread would need.
     source = None
     if cfg.delta_backend is DeltaBackend.ZO and loss_cfg.mode is FeedbackMode.SCORE:
-        source = DirectionSource(iter_rng, rge_cfg.q, spec.dim, cfg.max_queries // iter_cost)
+        source = DirectionSource(iter_rng, rge_cfg.q, spec.dim)
     try:
         while oracle.queries_used - start_queries + iter_cost <= cfg.max_queries:
             if state.best.queries_at_success is not None and not cfg.success_then_refine:

@@ -350,8 +350,15 @@ def cmd_attack(args) -> int:
 
 
 def summarize_reports(docs: list[dict]) -> dict:
-    """Batch summary; failures are excluded from the distortion means."""
+    """Batch summary; failures are excluded from the distortion means. A
+    summary field of another JSON type raises TypeError; a bool is no number."""
     summaries = [d["summary"] for d in docs]
+    types = {"success": (bool,), "queries_first_success": (int, type(None)), "l0": (int,),
+             "total_queries": (int,)}
+    for s in summaries:
+        for key in SUMMARY_FIELDS:
+            if type(s[key]) not in types.get(key, (int, float)):
+                raise TypeError(f"summary {key} cannot be a {type(s[key]).__name__}")
     successes = [s for s in summaries if s["success"]]
     out = {"runs": len(docs), "asr": len(successes) / len(docs) if docs else 0.0}
     for key in SUMMARY_FIELDS[1:]:

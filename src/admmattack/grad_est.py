@@ -70,49 +70,34 @@ class DirectionSource:
 
     It owns ``rng``: its ``unit_directions(q, d)`` calls give the (q, d)
     blocks that as many ``rng.unit_directions(q, d)`` calls would, bit for
-    bit, for up to ``iterations`` calls. A block holds
-    ``block_iterations(q, d)`` iterations, at most BLOCK_BYTES unless one
-    iteration is larger; the first block is drawn here. One executor worker
-    draws each later block with one ``rng.unit_directions`` call into a
-    ring of two blocks allocated here, while the caller reads the other;
-    NumPy's draw and the row norms release the GIL, so the draws overlap
-    the caller's work. Each block's future hands it to the caller, or
-    re-raises what its draw raised when the caller reaches that block.
-    ``close`` stops the worker; a source of at most one block starts none.
+    bit. A block holds ``block_iterations(q, d)`` iterations, at most
+    BLOCK_BYTES unless one iteration is larger; the first block is drawn
+    here. One executor worker draws each later block with one
+    ``rng.unit_directions`` call into a ring of two blocks allocated here,
+    while the caller reads the other, so one block is always in flight and
+    no call reads the last. NumPy's draw and the row norms release the GIL,
+    so the draws overlap the caller's work. Each block's future hands it to
+    the caller, or re-raises what its draw raised when the caller reaches
+    that block. ``close`` stops the worker, cancelling a draw not begun.
     """
 
-    def __init__(self, rng: RngStream, q: int, d: int, iterations: int):
-        self._rng, self._shape, self._calls_left = rng, (q, d), iterations
-        self._rows = q * block_iterations(q, d)  # of a whole block
-        rows = min(q * iterations, self._rows)
-        self._left = q * iterations - rows  # rows the worker draws
-        ring = np.empty((2 if self._left else 1, rows, d))
-        self._block, self._used = rng.unit_directions(rows, d, out=ring[0]), 0
-        self._pool = None
-        if self._left:
-            # imported only when a worker is needed: concurrent.futures loads logging
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rge-directions")
-            self._submit(ring[1])
-
-    def _submit(self, free: np.ndarray) -> None:
-        """Have the worker draw the next block, if one is left, into ``free``."""
-        if self._left:
-            out = free[:min(self._left, self._rows)]
-            self._next = self._pool.submit(self._rng.unit_directions, *out.shape, out=out)
-            self._left -= len(out)
+    def __init__(self, rng: RngStream, q: int, d: int):
+        # imported only when a source is built: concurrent.futures loads logging
+        from concurrent.futures import ThreadPoolExecutor
+        self._rng, self._shape = rng, (q, d)
+        ring = np.empty((2, q * block_iterations(q, d), d))
+        self._block, self._used = rng.unit_directions(*ring[0].shape, out=ring[0]), 0
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rge-directions")
+        self._next = self._pool.submit(rng.unit_directions, *ring[1].shape, out=ring[1])
 
     def unit_directions(self, n: int, d: int) -> np.ndarray:
         """The next (n, d) directions, with (n, d) the source's (q, d). The
         rows are the caller's until its next call."""
         if (n, d) != self._shape:
             raise ValueError(f"this source draws {self._shape} blocks, not {(n, d)}")
-        if not self._calls_left:
-            raise RuntimeError("the run's directions are spent")
-        self._calls_left -= 1
         if self._used == len(self._block):
             free, self._block, self._used = self._block, self._next.result(), 0
-            self._submit(free)
+            self._next = self._pool.submit(self._rng.unit_directions, *free.shape, out=free)
         u = self._block[self._used:self._used + n]
         self._used += n
         return u
@@ -121,6 +106,4 @@ class DirectionSource:
         """Stop the worker once its running draw ends. What a draw raised is
         raised only by a call that reaches its block, so a finished run stays
         finished and an exception the caller is unwinding is not replaced."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
+        self._pool.shutdown(cancel_futures=True)

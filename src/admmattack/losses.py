@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import struct
-import subprocess
 import sys
 from dataclasses import dataclass
 
@@ -179,6 +178,7 @@ class ProcessOracle(QueryOracle):
         if mode not in ("scores", "label"):
             raise ValueError("mode must be 'scores' or 'label'")
         self.scores_available = mode == "scores"
+        import subprocess  # here, so that a CLI call without a served victim does not load it
         self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self._fault = None  # the message of the fault that broke the oracle
 
@@ -209,6 +209,7 @@ class ProcessOracle(QueryOracle):
         """Close the child's input, drain its output and reap it. A child
         still running after CLOSE_TIMEOUT_S is killed and reaped, and close
         raises RuntimeError naming its exit code."""
+        import subprocess
         try:
             self.proc.communicate(timeout=CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:

@@ -82,7 +82,7 @@ def admm_iterate(state, spec, cfg, oracle, rng, loss, delta_step):
 class InlineDirections:
     """A DirectionSource that draws nothing ahead: each call draws from the stream."""
 
-    def __init__(self, rng, q, d, iterations):
+    def __init__(self, rng, q, d):
         self.unit_directions = rng.unit_directions
 
     def close(self):

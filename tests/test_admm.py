@@ -686,9 +686,9 @@ class ThreadCountingVictim:
 
 def thread_attack(victim, refine=True):
     """A score run on ThreadCountingVictim from x0 = (0.3, 0.5, ..., 0.5),
-    with the budget of three direction blocks. The helper draws the second
-    and third, so it is still running when the run starts: the ring holds
-    the run's block and one drawn ahead."""
+    with the budget of three direction blocks. The helper draws the second,
+    the third and one that no iteration reads, so it is still running when
+    the run starts: the ring holds the run's block and one drawn ahead."""
     x0 = np.full(THREAD_DIM, 0.5)
     x0[0] = 0.3
     iter_cost = THREAD_Q + 2  # Q + 1 RGE rows and the success probe

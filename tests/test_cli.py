@@ -658,6 +658,23 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"malformed report {tmp_path / 'pair_0001.json'}: " in err and says in err
 
+    @pytest.mark.parametrize("field, value, says", [
+        ("total_queries", [[1], [1, 2]], "summary total_queries cannot be a list"),
+        ("l2", [1, 2], "summary l2 cannot be a list"),
+        ("success", "yes", "summary success cannot be a str"),
+        ("l0", 3.0, "summary l0 cannot be a float"),
+        ("linf", True, "summary linf cannot be a bool"),
+        ("queries_first_success", 1.5, "summary queries_first_success cannot be a float"),
+    ], ids=["ragged-total-queries", "l2-list", "success-yes", "float-l0", "bool-linf",
+            "float-queries-first-success"])
+    def test_a_summary_field_of_another_type_is_usage_error(self, tmp_path, capsys, field,
+                                                            value, says):
+        self.make_reports(tmp_path, [self.summary(True, 100, 2.0, 150),
+                                     {**self.summary(True, 100, 2.0, 150), field: value}])
+        assert main(["report", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"malformed report {tmp_path / 'pair_0001.json'}: TypeError: {says}" in err
+
     def test_summarize_empty(self):
         out = summarize_reports([])
         assert out["runs"] == 0

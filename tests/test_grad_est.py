@@ -212,22 +212,34 @@ def test_a_block_holds_whole_iterations_within_its_byte_budget():
 
 
 # (blocks, extra iterations) of each run named by its length in blocks of B
-BLOCK_RUNS = {"B-1": (1, -1), "B": (1, 0), "B+1": (1, 1), "2B+1": (2, 1)}
+BLOCK_RUNS = {"B-1": (1, -1), "B": (1, 0), "B+1": (1, 1), "2B+1": (2, 1), "3B+1": (3, 1)}
 
 
-# runs of fixed lengths, and of about one and two blocks of B =
+class RecordingStream:
+    """Draws as an RngStream and records the rows of each unit_directions call."""
+
+    def __init__(self, rng):
+        self.rng, self.rows = rng, []
+
+    def unit_directions(self, n, d, out=None):
+        self.rows.append(n)
+        return self.rng.unit_directions(n, d, out)
+
+
+# runs of fixed lengths, and of about one, two and three blocks of B =
 # block_iterations(q, d), so that whatever the block size some runs cross a
 # block boundary or end on one; d = 784 has blocks of 4 iterations
 @pytest.mark.parametrize("q, d", [(20, 64), (3, 5), (20, 784)])
-@pytest.mark.parametrize("run", [1, 15, 16, 17, 33, *BLOCK_RUNS])
+@pytest.mark.parametrize("run", [0, 1, 15, 16, 17, 33, *BLOCK_RUNS])
 def test_prefetched_directions_equal_per_iteration_draws(run, q, d):
+    block = block_iterations(q, d)
     if isinstance(run, int):
         iterations = run
     else:
         blocks, extra = BLOCK_RUNS[run]
-        iterations = blocks * block_iterations(q, d) + extra
-    rng, twin = RngStream(4).child(2), RngStream(4).child(2)
-    source = DirectionSource(rng, q, d, iterations)
+        iterations = blocks * block + extra
+    stream, twin = RecordingStream(RngStream(4).child(2)), RngStream(4).child(2)
+    source = DirectionSource(stream, q, d)
     ring = None
     try:
         for _ in range(iterations):
@@ -235,12 +247,19 @@ def test_prefetched_directions_equal_per_iteration_draws(run, q, d):
             ring = u.base if ring is None else ring
             assert u.base is ring  # every block is a view of one ring
             assert u.tobytes() == twin.unit_directions(q, d).tobytes()
-        with pytest.raises(RuntimeError, match="spent"):
-            source.unit_directions(q, d)
     finally:
         source.close()
-    assert rng.gen.bit_generator.state == twin.gen.bit_generator.state
-    assert ring.nbytes <= 2 * BLOCK_BYTES
+    assert not [t for t in threading.enumerate() if t.name.startswith("rge-directions")]
+    assert ring is None or ring.nbytes <= 2 * BLOCK_BYTES
+    # whole blocks: those the run reached, and the one in flight unless
+    # close cancelled it before the worker began; the stream is where the
+    # per-iteration draws of those blocks leave it
+    reached = max(1, -(-iterations // block))
+    assert stream.rows in ([q * block] * reached, [q * block] * (reached + 1))
+    replay = RngStream(4).child(2)
+    for rows in stream.rows:
+        replay.unit_directions(rows, d)
+    assert stream.rng.gen.bit_generator.state == replay.gen.bit_generator.state
 
 
 def test_interleaved_sources_under_fast_thread_switching_keep_their_bits():
@@ -252,7 +271,7 @@ def test_interleaved_sources_under_fast_thread_switching_keep_their_bits():
     sys.setswitchinterval(1e-6)
     sources = []
     try:
-        sources = [DirectionSource(RngStream(i), q, d, iterations) for i in range(4)]
+        sources = [DirectionSource(RngStream(i), q, d) for i in range(4)]
         twins = [RngStream(i) for i in range(4)]
         for _ in range(iterations):
             for source, twin in zip(sources, twins):
@@ -284,7 +303,7 @@ class FailingStream:
 
 def test_a_fault_on_the_helper_thread_surfaces_in_the_caller():
     block = block_iterations(2, 3)
-    source = DirectionSource(FailingStream(), 2, 3, 2 * block)
+    source = DirectionSource(FailingStream(), 2, 3)
     try:
         for _ in range(block):
             source.unit_directions(2, 3)
@@ -295,33 +314,28 @@ def test_a_fault_on_the_helper_thread_surfaces_in_the_caller():
 
 
 def test_close_joins_without_raising_a_helper_fault_that_no_call_reached():
-    source = DirectionSource(FailingStream(), 2, 3, 2 * block_iterations(2, 3))
+    source = DirectionSource(FailingStream(), 2, 3)
     source.unit_directions(2, 3)
     source.close()
     assert not [t for t in threading.enumerate() if t.name.startswith("rge-directions")]
 
 
-def test_a_source_that_fits_in_one_block_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
-    DirectionSource(RngStream(1), 2, 3, block_iterations(2, 3)).close()
-    DirectionSource(RngStream(1), 2, 3, 0).close()
-
-
 @pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
 def test_a_source_draws_only_its_own_shape(shape):
-    source = DirectionSource(RngStream(1), 2, 3, 4)
+    source = DirectionSource(RngStream(1), 2, 3)
     with pytest.raises(ValueError, match=r"this source draws \(2, 3\) blocks"):
         source.unit_directions(*shape)
     source.close()
 
 
 def test_importing_the_package_loads_no_executor():
-    # concurrent.futures loads logging; only a source that starts a worker
-    # imports it, so an import or a run without one does not pay for it.
-    # Nor does the package load multiprocessing or SciPy: each adds start-up
-    # time and resident memory to every CLI call
+    # concurrent.futures loads logging; only a DirectionSource imports it, so
+    # an import or a run without one does not pay for it. Nor does the
+    # package load multiprocessing or SciPy, or subprocess before a served
+    # victim is built: each adds start-up time and resident memory to every
+    # CLI call
     code = ("import sys, admmattack, admmattack.cli\n"
-            "heavy = {'concurrent.futures', 'logging', 'multiprocessing', 'scipy'}\n"
+            "heavy = {'concurrent.futures', 'logging', 'multiprocessing', 'scipy', 'subprocess'}\n"
             "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(admmattack.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
