@@ -326,9 +326,11 @@ def run_attack(
     # score feedback a DirectionSource that owns the stream draws them ahead,
     # on a thread that the finally joins. BO's draws interleave with
     # data-dependent fallbacks, so BO keeps the stream; so do decision runs,
-    # whose unit_ball loop holds the GIL that the thread would need.
+    # whose unit_ball loop holds the GIL that the thread would need. A budget
+    # that allows no iteration reads no directions, so it starts no source.
     source = None
-    if cfg.delta_backend is DeltaBackend.ZO and loss_cfg.mode is FeedbackMode.SCORE:
+    if (cfg.delta_backend is DeltaBackend.ZO and loss_cfg.mode is FeedbackMode.SCORE
+            and iter_cost <= cfg.max_queries):
         source = DirectionSource(iter_rng, rge_cfg.q, spec.dim)
     try:
         while oracle.queries_used - start_queries + iter_cost <= cfg.max_queries:

@@ -1,7 +1,6 @@
 """Command-line harness: train victims, run attack batches, report results.
 
-Settings resolve as flags > config file (``key = value`` lines) > the
-built-in SETTINGS; a config key must be one of SETTINGS. A single
+Each attack setting is a flag whose default is its SETTINGS value. A single
 ``--seed`` deterministically derives every module seed, so identical
 invocations produce byte-identical aggregate CSVs (timestamps are isolated
 in one JSON field).
@@ -43,7 +42,7 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 EXIT_INTERNAL = 4
 
-# The attack settings; each is also an ``attack`` flag and a config key.
+# The attack settings; each is an ``attack`` flag of its value's type and default.
 SETTINGS = {
     "norm": "l2",
     "eps": 1.0,
@@ -91,43 +90,6 @@ def _read(what: str, path, parse):
         return _on_path("read", what, path, parse)
     except (ValueError, RecursionError) as exc:
         raise UsageError(f"malformed {what} {path}: {exc}") from None
-
-
-def _parse_config_file(path: str) -> dict:
-    """Simple ``key = value`` text config; '#' starts a comment; a bad line is a ValueError."""
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (expected key = value): {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
-    return values
-
-
-def _resolve_settings(args) -> dict:
-    """Merge SETTINGS < config file < explicit flags into one settings dict.
-
-    A config value is converted to the type of the built-in value.
-    """
-    settings = dict(SETTINGS)
-    if args.config:
-        for key, val in _read("config file", args.config, _parse_config_file).items():
-            if key not in settings:
-                raise UsageError(f"unknown config key {key!r} in {args.config}; "
-                                 f"choices: {sorted(settings)}")
-            try:
-                settings[key] = type(settings[key])(val)
-            except ValueError:
-                raise UsageError(f"bad value for config key {key!r} in {args.config}: "
-                                 f"{val!r}") from None
-    for key in settings:
-        flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = flag
-    return settings
 
 
 def _load_dataset(name: str) -> Dataset:
@@ -273,32 +235,31 @@ def _attack_pair(model, spec, init_delta, cfg, loss_cfg, rge_cfg, seed: int, pai
 
 
 def cmd_attack(args) -> int:
-    settings = _resolve_settings(args)
-    if settings["budget"] <= 0:
+    if args.budget <= 0:
         raise UsageError("--budget must be positive")
-    if settings["pairs"] < 1:
+    if args.pairs < 1:
         raise UsageError("--pairs must be positive")
     if args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     try:
-        distortion = Distortion(settings["norm"])
+        distortion = Distortion(args.norm)
     except ValueError:
-        raise UsageError(f"unknown norm {settings['norm']!r}; "
+        raise UsageError(f"unknown norm {args.norm!r}; "
                          f"choices: {sorted(d.value for d in Distortion)}") from None
     feedback = FeedbackMode(args.feedback)
     cfg = _valid(lambda: AdmmConfig(
-        rho=settings["rho"],
-        alpha=settings["alpha"],
-        max_queries=settings["budget"],
+        rho=args.rho,
+        alpha=args.alpha,
+        max_queries=args.budget,
         success_then_refine=not args.no_refine,
         delta_backend=DeltaBackend(args.backend),
     ))
     loss_cfg = _valid(lambda: LossConfig(
         mode=feedback,
-        smoothing_mu=settings["mu"],
-        smoothing_samples=settings["n_smooth"],
+        smoothing_mu=args.mu,
+        smoothing_samples=args.n_smooth,
     ))
-    rge_cfg = _valid(lambda: RgeConfig(q=settings["q"], nu=settings["nu"]))
+    rge_cfg = _valid(lambda: RgeConfig(q=args.q, nu=args.nu))
 
     model = _read("weight file", args.weights, load_weights)
     data = _load_dataset(args.data)
@@ -309,10 +270,10 @@ def cmd_attack(args) -> int:
         if ds.dim != model.dim:
             raise UsageError(f"{name} has {ds.dim} features, the victim takes {model.dim}")
 
-    plan = plan_pairs(model, data, settings["pairs"], untargeted=args.untargeted,
+    plan = plan_pairs(model, data, args.pairs, untargeted=args.untargeted,
                       init_data=init_data if feedback is FeedbackMode.DECISION else None,
-                      epsilon=settings["eps"], gamma=settings["gamma"], kappa=settings["kappa"],
-                      distortion=distortion, beta=settings["beta"])
+                      epsilon=args.eps, gamma=args.gamma, kappa=args.kappa,
+                      distortion=distortion, beta=args.beta)
 
     out_dir = Path(args.out)
     held = [p for p in sorted(out_dir.glob("pair_*.json")) + [out_dir / "aggregate.csv"]
@@ -436,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--data", default="digits8x8")
     p_attack.add_argument("--backend", choices=("zo", "bo"), default="zo")
     p_attack.add_argument("--feedback", choices=("score", "decision"), default="score")
-    for key, value in SETTINGS.items():  # each setting is a flag of its type
-        p_attack.add_argument("--" + key.replace("_", "-"), type=type(value))
+    for key, value in SETTINGS.items():
+        p_attack.add_argument("--" + key.replace("_", "-"), type=type(value), default=value)
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.add_argument("--out", default="reports")
     p_attack.add_argument("--untargeted", action="store_true")
@@ -445,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stop at first success instead of refining")
     p_attack.add_argument("--init-from",
                           help="dataset supplying decision-mode target exemplars")
-    p_attack.add_argument("--config", help="key = value config file")
     p_attack.set_defaults(func=cmd_attack)
 
     p_report = sub.add_parser("report", help="summarize attack reports")

@@ -749,6 +749,19 @@ def test_a_helper_fault_in_a_block_no_iteration_reached_leaves_the_run_finished(
     assert len(failing_helper) == 1
 
 
+def test_a_score_run_whose_budget_allows_no_iteration_starts_no_direction_thread(monkeypatch):
+    def no_source(*args):
+        pytest.fail("a DirectionSource was built")
+
+    monkeypatch.setattr(admm, "DirectionSource", no_source)
+    x0 = np.full(THREAD_DIM, 0.5)
+    cfg = AdmmConfig(rho=1.0, max_queries=10)  # one iteration costs 50 + 2 queries
+    rep = run_attack(make_spec(x0), cfg, LossConfig(), ModelOracle(ThreadCountingVictim()),
+                     RngStream(3), rge_cfg=RgeConfig(q=50))
+    assert rep.records == [] and rep.total_queries == 0
+    assert not [t for t in threading.enumerate() if t.name.startswith("rge-directions")]
+
+
 def test_a_decision_run_draws_its_directions_on_the_callers_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
     x0, init = np.full(THREAD_DIM, 0.5), np.zeros(THREAD_DIM)

@@ -191,84 +191,11 @@ class TestAttack:
         assert [p.name for p in out.iterdir()] == ["aggregate.csv"]
         assert (out / "aggregate.csv").read_text() == "kept\n"
 
-    def test_config_file_and_flag_precedence(self, tmp_path, trained_weights):
-        cfg = tmp_path / "attack.cfg"
-        cfg.write_text("budget = 1234  # tight\ngamma = 0.5\n")
-        out = tmp_path / "reports"
-        code = main([
-            "attack", "--weights", str(trained_weights), "--out", str(out),
-            "--pairs", "1", "--seed", "7", "--config", str(cfg),
-            "--gamma", "2.0",
-        ])
-        assert code in (EXIT_OK, EXIT_NO_SUCCESS)
-        doc = json.loads(next(out.glob("pair_*.json")).read_text())
-        # flag beats config file, config file beats the built-in settings
-        assert doc["config"]["gamma"] == 2.0
-        assert doc["config"]["max_queries"] == 1234
-        assert doc["summary"]["total_queries"] <= 1234
-
-    def test_bad_config_line_is_usage_error(self, tmp_path, trained_weights):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("this is not a key value line\n")
-        code = main(["attack", "--weights", str(trained_weights),
-                     "--out", str(tmp_path / "r"), "--config", str(cfg)])
-        assert code == EXIT_USAGE
-
-    def test_unknown_config_key_is_usage_error(self, tmp_path, trained_weights, capsys):
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text("budgt = 100\nq = 3\n")
+    def test_unknown_norm_is_usage_error(self, tmp_path, trained_weights, capsys):
         out = tmp_path / "r"
-        code = main(["attack", "--weights", str(trained_weights),
-                     "--out", str(out), "--config", str(cfg)])
-        assert code == EXIT_USAGE
-        assert "'budgt'" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_unknown_norm_is_usage_error(self, tmp_path, trained_weights, capsys, how):
-        cfg = tmp_path / "norm.cfg"
-        cfg.write_text("norm = l3\n")
-        extra = ["--norm", "l3"] if how == "flag" else ["--config", str(cfg)]
-        out = tmp_path / "r"
-        assert run_attack(out, trained_weights, *extra) == EXIT_USAGE
+        assert run_attack(out, trained_weights, "--norm", "l3") == EXIT_USAGE
         assert "unknown norm 'l3'" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_a_config_file_that_is_not_utf8_is_usage_error_naming_it(self, tmp_path,
-                                                                      trained_weights, capsys):
-        cfg = tmp_path / "latin.cfg"
-        cfg.write_bytes(b"\xff\xfe = 3\n")
-        out = tmp_path / "r"
-        code = main(["attack", "--weights", str(trained_weights),
-                     "--out", str(out), "--config", str(cfg)])
-        assert code == EXIT_USAGE
-        assert f"malformed config file {cfg}: 'utf-8' codec" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, trained_weights,
-                                                       capsys):
-        cfg = tmp_path / "float_q.cfg"
-        cfg.write_text("q = 2.5\n")
-        out = tmp_path / "r"
-        code = main(["attack", "--weights", str(trained_weights),
-                     "--out", str(out), "--config", str(cfg)])
-        assert code == EXIT_USAGE
-        assert "'q'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_config_values_take_the_setting_types(self, tmp_path):
-        cfg = tmp_path / "typed.cfg"
-        cfg.write_text("q = 3\neps = 2\nnorm = l1\nn-smooth = 4\n")
-        args = build_parser().parse_args(["attack", "--weights", "w", "--config", str(cfg)])
-        settings = cli._resolve_settings(args)
-        assert settings == {**SETTINGS, "q": 3, "eps": 2.0, "norm": "l1", "n_smooth": 4}
-        assert [type(v) for v in settings.values()] == [type(v) for v in SETTINGS.values()]
-
-    def test_blank_and_comment_config_lines_are_skipped(self, tmp_path):
-        cfg = tmp_path / "commented.cfg"
-        cfg.write_text("# a batch\n\n   \nq = 3  # directions\n# eps = 2\n")
-        args = build_parser().parse_args(["attack", "--weights", "w", "--config", str(cfg)])
-        assert cli._resolve_settings(args) == {**SETTINGS, "q": 3}
 
     @pytest.mark.parametrize("flag", ["--data", "--init-from"])
     def test_a_dataset_of_another_width_is_usage_error_naming_the_flag(
@@ -281,14 +208,50 @@ class TestAttack:
         assert f"{flag} has 3 features, the victim takes 64" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_each_setting_is_an_attack_flag_and_there_is_no_preset(self, tmp_path,
-                                                                   trained_weights, capsys):
+    def test_each_setting_is_an_attack_flag_and_there_is_no_config_or_preset(
+            self, tmp_path, trained_weights, capsys):
         args = build_parser().parse_args(["attack", "--weights", "w"])
-        assert all(getattr(args, key) is None for key in SETTINGS)
-        assert cli._resolve_settings(args) == SETTINGS
+        parsed = [getattr(args, key) for key in SETTINGS]
+        assert parsed == list(SETTINGS.values())
+        assert [type(v) for v in parsed] == [type(v) for v in SETTINGS.values()]
+        for extra in (["--config", "f"], ["--preset", "mnist-like"]):
+            out = tmp_path / "r"
+            assert run_attack(out, trained_weights, *extra) == EXIT_USAGE
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+            assert not out.exists()
+        out = tmp_path / "flags"
+        code = run_attack(out, trained_weights, "--gamma", "2.0", "--budget", "1234",
+                          "--pairs", "1")
+        assert code in (EXIT_OK, EXIT_NO_SUCCESS)
+        doc = json.loads((out / "pair_0000.json").read_text())
+        assert doc["config"]["gamma"] == 2.0
+        assert doc["config"]["max_queries"] == 1234
+        assert doc["summary"]["total_queries"] <= 1234
+
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_each_setting_flag_sets_only_its_setting(self, key):
+        default = SETTINGS[key]
+        value = "l1" if isinstance(default, str) else default + 1
+        args = build_parser().parse_args(
+            ["attack", "--weights", "w", "--" + key.replace("_", "-"), str(value)])
+        assert getattr(args, key) == value and type(getattr(args, key)) is type(default)
+        assert {k: getattr(args, k) for k in SETTINGS} == {**SETTINGS, key: value}
+
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--q", "2.5", "int"), ("--n-smooth", "4.0", "int"), ("--budget", "1e3", "int"),
+        ("--pairs", "two", "int"), ("--eps", "one", "float"),
+    ])
+    def test_a_wrongly_typed_setting_flag_is_usage_error(self, tmp_path, trained_weights,
+                                                         capsys, flag, value, kind):
         out = tmp_path / "r"
-        assert run_attack(out, trained_weights, "--preset", "mnist-like") == EXIT_USAGE
-        assert "unrecognized arguments: --preset mnist-like" in capsys.readouterr().err
+        assert run_attack(out, trained_weights, flag, value) == EXIT_USAGE
+        assert f"argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_misspelt_setting_flag_is_usage_error(self, tmp_path, trained_weights, capsys):
+        out = tmp_path / "r"
+        assert run_attack(out, trained_weights, "--budgt", "100") == EXIT_USAGE
+        assert "unrecognized arguments: --budgt 100" in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_row_text_of_handmade_reports(self, tmp_path, trained_weights, monkeypatch):
@@ -313,8 +276,7 @@ class TestAttack:
             f"1,{targets[1]},0,12,0,0.0,1e-20,3.0,3000\r\n"
         )
 
-    @pytest.mark.parametrize("case", ["attack-config", "attack-weights", "attack-data",
-                                      "serve-weights"])
+    @pytest.mark.parametrize("case", ["attack-weights", "attack-data", "serve-weights"])
     def test_directory_path_is_usage_error(self, tmp_path, trained_weights, capsys, case):
         folder = tmp_path / "a_directory"
         folder.mkdir()
@@ -350,17 +312,11 @@ class TestAttack:
                      "--out", str(tmp_path / "r"), "--budget", "0"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("how", ["0", "-3", "config"])
+    @pytest.mark.parametrize("how", ["0", "-3"])
     def test_nonpositive_pairs_is_usage_error(self, tmp_path, trained_weights, how):
         out = tmp_path / "r"
-        args = ["attack", "--weights", str(trained_weights), "--out", str(out)]
-        if how == "config":
-            cfg = tmp_path / "zero.cfg"
-            cfg.write_text("pairs = 0\n")
-            args += ["--config", str(cfg)]
-        else:
-            args += ["--pairs", how]
-        assert main(args) == EXIT_USAGE
+        assert main(["attack", "--weights", str(trained_weights), "--out", str(out),
+                     "--pairs", how]) == EXIT_USAGE
         assert not out.exists()
 
     def test_mid_run_fault_is_not_a_usage_error(self, tmp_path, trained_weights,
@@ -428,19 +384,15 @@ class TestAttack:
         assert "invalid setting" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize("key, value, extra", [
         ("rho", "inf", []), ("alpha", "inf", []), ("nu", "nan", []), ("nu", "inf", []),
         ("gamma", "nan", []), ("gamma", "inf", []), ("kappa", "nan", []),
         ("beta", "nan", ["--norm", "elastic"]), ("mu", "nan", ["--feedback", "decision"]),
     ], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
-    def test_non_finite_setting_is_usage_error(self, tmp_path, trained_weights, capsys, how,
+    def test_non_finite_setting_is_usage_error(self, tmp_path, trained_weights, capsys,
                                                key, value, extra):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        bad = ["--" + key, value] if how == "flag" else ["--config", str(cfg)]
         out = tmp_path / "r"
-        assert run_attack(out, trained_weights, *extra, *bad) == EXIT_USAGE
+        assert run_attack(out, trained_weights, *extra, "--" + key, value) == EXIT_USAGE
         assert "invalid setting" in capsys.readouterr().err
         assert not out.exists()
 
