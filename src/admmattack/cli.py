@@ -213,7 +213,7 @@ def _attack_pair(model, spec, init_delta, cfg, loss_cfg, rge_cfg, seed: int, pai
     try:
         report = run_attack(spec, cfg, loss_cfg, oracle, RngStream(seed).child(pair),
                             rge_cfg=rge_cfg, init_delta=init_delta)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         raise RunFault(f"pair {pair}: {type(exc).__name__}: {exc}") from exc
     summary = (report.success, report.queries_first_success, *report.final_norms,
                report.total_queries)

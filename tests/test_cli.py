@@ -319,23 +319,29 @@ class TestAttack:
                      "--pairs", how]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", [
+        ValueError("non-finite loss value at the base point"),
+        # what NumPy raises for a setting whose arrays the host cannot
+        # allocate; raised here, so no test asks the host for the memory
+        MemoryError("Unable to allocate 954. GiB for an array with shape "
+                    "(2, 1000000000, 64) and data type float64"),
+    ], ids=lambda fault: type(fault).__name__)
     def test_mid_run_fault_is_not_a_usage_error(self, tmp_path, trained_weights,
-                                                monkeypatch, capsys):
+                                                monkeypatch, capsys, fault):
         real_run_attack = cli.run_attack
         calls = []
 
         def faulty_run_attack(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
-                raise ValueError("non-finite loss value at the base point")
+                raise fault
             return real_run_attack(*args, **kwargs)
 
         monkeypatch.setattr(cli, "run_attack", faulty_run_attack)
         code = run_attack(tmp_path / "r", trained_weights, "--budget", "200")
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert "pair 1" in err
-        assert "non-finite loss value" in err
+        assert f"pair 1: {type(fault).__name__}: {fault}" in err
 
     def test_an_unexpected_exception_is_an_internal_error_not_no_success(
             self, tmp_path, trained_weights, monkeypatch, capsys):
